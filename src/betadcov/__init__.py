@@ -11,8 +11,9 @@ diagnostics for heavy-tailed inputs.
 __version__ = "0.1.0"
 
 from .beta2 import cross_cov, dcov2_closed
-from .charfn import DomainError, QuadConfig, c_const, dcov_charfn_1d, scale_const
-from .charrv import (char_rv, dcov_charrv_mc, dcov_hm, h_trunc, lambda_fn,
+from .charfn import (DomainError, QuadConfig, QuadratureError, c_const,
+                     dcov_charfn_1d, scale_const)
+from .charrv import (char_rv, dcov_charrv_mc, dcov_hm, h_trunc,
                      mean_sq_char_gap, mean_sq_char_gap_mc)
 from .estimators import PairedSample, dcor, dcov_centered, dcov_plugin_d1
 from .exact import (DcovEstimate, DiscreteJoint, dcov_exact, hhat_eval,
@@ -31,7 +32,7 @@ __all__ = [
     "ttilde_eval", "projection_demo",
     "PairedSample", "dcov_plugin_d1", "dcov_centered", "dcor",
     "DomainError", "QuadConfig", "c_const", "scale_const", "dcov_charfn_1d",
-    "char_rv", "dcov_charrv_mc", "dcov_hm", "h_trunc", "lambda_fn",
+    "QuadratureError", "char_rv", "dcov_charrv_mc", "dcov_hm", "h_trunc",
     "mean_sq_char_gap", "mean_sq_char_gap_mc",
     "cross_cov", "dcov2_closed",
     "perm_test", "PermTestResult", "consistency_sweep", "ConsistencyTrace",

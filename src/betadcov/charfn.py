@@ -20,6 +20,10 @@ class DomainError(ValueError):
     """A parameter is outside the mathematical domain of the method."""
 
 
+class QuadratureError(RuntimeError):
+    """The quadrature cannot be carried out within its node cap or cutoff."""
+
+
 def c_const(ell, beta):
     """Normalization constant of the weighted characteristic-function integral.
 
@@ -77,9 +81,13 @@ def log_panel_grid(q, freq=0.0):
     lo = q.eps
     while lo < q.tmax * (1 - 1e-12):
         hi = min(lo * 10.0, q.tmax)
-        width = hi - lo
         n_panels = max(q.panels_per_decade,
-                       int(math.ceil(width * freq / (4.0 * math.pi))))
+                       int(math.ceil((hi - lo) * freq / (4.0 * math.pi))))
+        n_nodes = (len(edges) - 1 + n_panels) * q.points_per_panel
+        if n_nodes > MAX_NODES:
+            raise QuadratureError(
+                "quadrature grid would need at least %d nodes; rescale the "
+                "data or lower tmax" % n_nodes)
         step = (hi - lo) / n_panels
         edges.extend(lo + step * np.arange(1, n_panels + 1))
         lo = hi
@@ -90,10 +98,6 @@ def log_panel_grid(q, freq=0.0):
     mid = 0.5 * (b + a)
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     weights = (half[:, None] * gw[None, :]).ravel()
-    if nodes.size > MAX_NODES:
-        raise RuntimeError(
-            "quadrature grid would need %d nodes; rescale the data or "
-            "lower tmax" % nodes.size)
     return nodes, weights
 
 
@@ -200,7 +204,8 @@ def dcov_charfn_1d(joint, q=None, chunk=256):
     trunc_err = c2 * abs(full - tenth)
     origin_err = c2 * (origin_t + origin_u)
     if abs(tail) > 0.5 * max(full, 1e-300):
-        raise RuntimeError("outer-cutoff extrapolation unreliable; raise tmax")
+        raise QuadratureError(
+            "outer-cutoff extrapolation unreliable; raise tmax")
     aux = {
         "trunc_err": trunc_err,
         "origin_err": origin_err,

@@ -10,16 +10,15 @@ quadrature module cannot serve.
 
 The per-draw integral is not evaluated on a two-dimensional grid.
 Expanding |phi_XY - phi_X phi_Y|^2 and integrating each exponential
-factor separately reduces the draw to the same three-term pairwise
-contraction used by the exact module, applied to one-dimensional
-kernel matrices
-
-    P_kl = integral w(r) exp(i r (xi.x_k - xi.x_l)) dr
-
-which depend on a single scalar gap per pair and are read off two
-precomputed tables (cosine and sine transforms of the quadrature
-weight). The contraction is invariant under adding a constant to P,
-so the tables store the regularized, well-conditioned transforms.
+factor separately reduces the draw to the three-term pairwise
+contraction of the exact module, applied to the Hermitian kernels
+P_kl = integral w(r) exp(i r (xi.x_k - xi.x_l)) dr of one scalar gap
+per pair. The contraction ignores a constant shift of P, so P = -C + iS
+with C the regularized cosine and S the sine transform of the weight,
+whose outer-cutoff Richardson tail is folded in (the contraction is
+bilinear). Both transforms are tabulated once per call on a geometric
+gap grid, in blocks of bounded size; each draw looks up the gaps above
+the diagonal and takes the real part as two real contractions.
 """
 
 import math
@@ -46,30 +45,6 @@ def char_rv(points, weights, xi, r):
     w = np.asarray(weights, dtype=float)
     proj = pts @ np.asarray(xi, dtype=float)
     return complex(np.sum(w * np.exp(1j * r * proj)))
-
-
-def lambda_fn(points, weights, u):
-    """Alternating cycle of four Gaussian-kernel expectations.
-
-    Computes E exp(-u |X1-X2|^2) - E exp(-u |X2-X3|^2)
-    + E exp(-u |X3-X4|^2) - E exp(-u |X4-X1|^2) over independent
-    copies of the law. Each of the four expectations is the same
-    double sum, so the value is identically zero for any exchangeable
-    input; the function exists to state that identity. |result| <= 4.
-    """
-    if u <= 0:
-        raise ValueError("u must be positive")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    w = np.asarray(weights, dtype=float)
-    d2 = cdist(pts, pts) ** 2
-    kernel = np.exp(-u * d2)
-    e12 = float(w @ kernel @ w)
-    e23 = float(w @ kernel @ w)
-    e34 = float(w @ kernel @ w)
-    e41 = float(w @ kernel @ w)
-    return e12 - e23 + e34 - e41
 
 
 def mean_sq_char_gap(joint, r, s):
@@ -118,42 +93,62 @@ def _collapse(x, y):
     return uniq[:, : x.shape[1]], uniq[:, x.shape[1]:], w
 
 
-def _kernel_tables(r, wr, tmax, delta_max):
-    """Cosine/sine transforms of the quadrature weight on a gap table.
+def _kernel_table(r, wr, delta_max):
+    """Cosine/sine transforms of one quadrature weight on a gap grid.
 
-    Returns (delta_grid, four table columns): regularized cosine
-    transform integral w(r) (1 - cos(r d)) dr and sine transform
-    integral w(r) sin(r d) dr, each for the full grid and for the
-    r <= tmax/2 half grid used by the tail extrapolation.
+    Returns (deltas, table): deltas is 0 and 4096 geometric steps up to
+    delta_max; table columns are integral w(r) (1 - cos(r d)) dr, integral
+    w(r) sin(r d) dr and the slopes of both to the next row (0 on the
+    last). Rows are built in blocks of at most 2^20 phase elements.
     """
-    if delta_max <= 0:
-        delta_max = 1.0
+    delta_max = delta_max if delta_max > 0 else 1.0
     deltas = np.concatenate([[0.0],
                              np.geomspace(delta_max * 1e-9, delta_max, 4096)])
-    phase = np.outer(deltas, r)
-    cosm = 1.0 - np.cos(phase)
-    sinm = np.sin(phase)
-    half = wr * (r <= tmax / 2.0)
-    return deltas, (cosm @ wr, sinm @ wr, cosm @ half, sinm @ half)
+    table = np.zeros((deltas.size, 4))
+    rows = max(1, (1 << 20) // r.size)
+    for lo in range(0, deltas.size, rows):
+        phase = np.outer(deltas[lo:lo + rows], r)
+        table[lo:lo + rows, 1] = np.sin(phase) @ wr
+        # 1 - cos(x) as 2 sin(x/2)^2, which keeps its digits near x = 0
+        np.sin(np.multiply(phase, 0.5, out=phase), out=phase)
+        table[lo:lo + rows, 0] = 2.0 * (np.square(phase, out=phase) @ wr)
+    table[:-1, 2:] = np.diff(table[:, :2], axis=0) / np.diff(deltas)[:, None]
+    return deltas, table
 
 
-def _gap_kernel(proj, deltas, ctab, stab):
-    """Hermitian kernel matrix from one projection via table lookup."""
-    gap = proj[:, None] - proj[None, :]
-    a = np.abs(gap)
-    c = np.interp(a, deltas, ctab)
-    s = np.interp(a, deltas, stab)
-    return -c + 1j * np.sign(gap) * s
+def _gap_lookup(a, deltas, table):
+    """np.interp of both table values at gaps a >= 0, sharing one index.
+
+    After 0 the grid is geometric, so the bracket is a scaled logarithm
+    plus one correction step each way; the clamping and linear rule are
+    those of np.interp, with the same arithmetic.
+    """
+    last = deltas.size - 1
+    log_step = math.log(deltas[-1] / deltas[1]) / (last - 1)
+    steps = np.log(np.maximum(a, 0.5 * deltas[1]) / deltas[1]) / log_step
+    j = np.clip(np.floor(steps) + 1, 0, last).astype(np.intp)
+    j -= a < deltas[j]
+    j += a >= np.append(deltas[1:], np.inf)[j]
+    rows = table[j]
+    return rows[:, 2:] * (a - deltas[j])[:, None] + rows[:, :2]
 
 
-def _d1_contract_c(p, q, w):
-    """Complex-kernel version of the pairwise contraction (real part)."""
-    pw = p @ w
-    qw = q @ w
-    term1 = np.sum(w[:, None] * w[None, :] * (p * q))
-    term2 = (w @ pw) * (w @ qw)
-    term3 = np.sum(w * (pw * qw))
-    return float((term1 + term2 - 2.0 * term3).real)
+def _gap_kernels(proj, w, deltas, table, iu, ju):
+    """Kernels C and S of one projection, with -C + iS the Hermitian kernel.
+
+    Only gaps above the diagonal are looked up (gap 0 is 0 in both
+    tables). S is centered, which the contraction ignores: above beta = 1
+    its large part linear in the gap would otherwise cancel in the sum.
+    """
+    gap = proj[iu] - proj[ju]
+    cs = _gap_lookup(np.abs(gap), deltas, table)
+    c, s = np.zeros((2, proj.size, proj.size))
+    c[iu, ju] = c[ju, iu] = cs[:, 0]
+    sv = np.sign(gap) * cs[:, 1]
+    s[iu, ju] = sv
+    s[ju, iu] = -sv
+    sw = s @ w
+    return c, s - sw[:, None] + sw[None, :]
 
 
 def dcov_charrv_mc(sample, draws=2000, seed=None, q=None):
@@ -188,24 +183,20 @@ def dcov_charrv_mc(sample, draws=2000, seed=None, q=None):
 
     span = max(float(px.max() - px.min()), float(py.max() - py.min()))
     r, wr_raw = log_panel_grid(q, freq=span)
-    wr = wr_raw * r ** (-1.0 - beta)
-    deltas, (c_full, s_full, c_half, s_half) = _kernel_tables(
-        r, wr, q.tmax, span)
-
+    # one-step Richardson tail for the outer cutoff: the mass beyond tmax
+    # is f times that of the band (tmax/2, tmax], and as the contraction is
+    # bilinear, weighting the band by 1 + f folds the tail into the kernels
     f = 1.0 / (2.0 ** beta - 1.0)
+    wr = wr_raw * r ** (-1.0 - beta) * np.where(r > q.tmax / 2.0, 1.0 + f, 1.0)
+    deltas, table = _kernel_table(r, wr, span)
+
+    iu, ju = np.triu_indices(w.size, 1)
     vals = np.empty(draws)
     for i in range(draws):
-        p_full = _gap_kernel(px[:, i], deltas, c_full, s_full)
-        p_half = _gap_kernel(px[:, i], deltas, c_half, s_half)
-        q_full = _gap_kernel(py[:, i], deltas, c_full, s_full)
-        q_half = _gap_kernel(py[:, i], deltas, c_half, s_half)
-        v_ff = _d1_contract_c(p_full, q_full, w)
-        v_hf = _d1_contract_c(p_half, q_full, w)
-        v_fh = _d1_contract_c(p_full, q_half, w)
-        v_hh = _d1_contract_c(p_half, q_half, w)
-        tail = (2.0 * v_ff - v_hf - v_fh) * f \
-            + (v_ff - v_hf - v_fh + v_hh) * f * f
-        vals[i] = v_ff + tail
+        cp, sp = _gap_kernels(px[:, i], w, deltas, table, iu, ju)
+        cq, sq = _gap_kernels(py[:, i], w, deltas, table, iu, ju)
+        # real part of the contraction of -Cp + iSp with -Cq + iSq
+        vals[i] = _d1_contract(cp, cq, w) - _d1_contract(sp, sq, w)
 
     c2 = scale_const(beta) ** 2
     value = c2 * float(vals.mean())

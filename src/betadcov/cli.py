@@ -4,7 +4,7 @@ Reads numeric CSV files (header row required), dispatches to the
 library, and emits machine-readable JSON reports (CSV for convergence
 traces). Exit codes: 0 success, 2 usage or input error, 3 numerical
 domain error (such as a method/beta combination outside its range of
-validity).
+validity) or a quadrature that cannot be carried out.
 """
 
 import argparse
@@ -18,7 +18,8 @@ from scipy.spatial.distance import cdist
 
 from . import __version__
 from .beta2 import dcov2_closed
-from .charfn import DomainError, QuadConfig, c_const, dcov_charfn_1d
+from .charfn import (DomainError, QuadConfig, QuadratureError, c_const,
+                     dcov_charfn_1d)
 from .charrv import dcov_charrv_mc, dcov_hm
 from .estimators import PairedSample, dcov_centered, dcov_plugin_d1
 from .exact import DiscreteJoint, dcov_exact, projection_demo
@@ -318,7 +319,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, QuadratureError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:

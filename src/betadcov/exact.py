@@ -136,7 +136,8 @@ def _d1_contract(a, b, w):
     """Weighted pairwise-form contraction shared by several estimators.
 
     Computes sum_ij w_i w_j a_ij b_ij + (w'a w)(w'b w)
-    - 2 sum_i w_i (a w)_i (b w)_i for symmetric kernels a, b.
+    - 2 sum_i w_i (a w)_i (b w)_i for kernels a, b that are both symmetric
+    or both antisymmetric (the sine halves of Hermitian kernels).
     """
     aw = a @ w
     bw = b @ w

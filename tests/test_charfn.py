@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from betadcov import (DiscreteJoint, DomainError, QuadConfig, c_const,
-                      dcov_charfn_1d, dcov_exact, euclidean, scale_const)
+from betadcov import (DiscreteJoint, DomainError, QuadConfig, QuadratureError,
+                      c_const, dcov_charfn_1d, dcov_exact, euclidean,
+                      scale_const)
+from betadcov.charfn import MAX_NODES, log_panel_grid
 
 
 def test_constant_one_dim():
@@ -103,3 +105,20 @@ def test_quad_config_validation():
         QuadConfig(panels_per_decade=0)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
+
+
+def test_node_cap_refuses_before_building():
+    # 1e12 would ask for about 7e6 panels in the first decade alone; the
+    # refusal comes before any of them is laid out
+    with pytest.raises(QuadratureError, match="would need at least"):
+        log_panel_grid(QuadConfig(), freq=1e12)
+    nodes, _ = log_panel_grid(QuadConfig(), freq=0.0)
+    assert nodes.size < MAX_NODES
+    assert issubclass(QuadratureError, RuntimeError)
+
+
+def test_unreliable_tail_raises():
+    sp = euclidean(1, 1.0)
+    joint = DiscreteJoint([[0.0], [1e-3]], [[0.0], [1e-3]], [0.5, 0.5], sp, sp)
+    with pytest.raises(QuadratureError, match="extrapolation unreliable"):
+        dcov_charfn_1d(joint)

@@ -1,10 +1,132 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from betadcov import (DiscreteJoint, DomainError, PairedSample, char_rv,
-                      dcov_centered, dcov_charrv_mc, dcov_hm, dcov_plugin_d1,
-                      euclidean, h_trunc, lambda_fn, mean_sq_char_gap,
-                      mean_sq_char_gap_mc)
+from betadcov import (DiscreteJoint, DomainError, PairedSample, QuadConfig,
+                      char_rv, dcov_centered, dcov_charrv_mc, dcov_hm,
+                      dcov_plugin_d1, euclidean, h_trunc, mean_sq_char_gap,
+                      mean_sq_char_gap_mc, scale_const)
+from betadcov.charfn import log_panel_grid
+from betadcov.charrv import _collapse, _gap_lookup, _kernel_table
+from betadcov.exact import _d1_contract
+
+
+# Reference copy of the four-contraction projection estimator: np.interp
+# gap kernels, one complex contraction per pair of full/half kernels and
+# the Richardson tail added afterwards. The library folds the tail into
+# one table and splits the complex contraction into two real ones.
+
+def _ref_tables(r, wr, tmax, delta_max):
+    if delta_max <= 0:
+        delta_max = 1.0
+    deltas = np.concatenate([[0.0],
+                             np.geomspace(delta_max * 1e-9, delta_max, 4096)])
+    phase = np.outer(deltas, r)
+    cosm = 1.0 - np.cos(phase)
+    sinm = np.sin(phase)
+    half = wr * (r <= tmax / 2.0)
+    return deltas, (cosm @ wr, sinm @ wr, cosm @ half, sinm @ half)
+
+
+def _ref_gap_kernel(proj, deltas, ctab, stab):
+    gap = proj[:, None] - proj[None, :]
+    a = np.abs(gap)
+    c = np.interp(a, deltas, ctab)
+    s = np.interp(a, deltas, stab)
+    return -c + 1j * np.sign(gap) * s
+
+
+def _ref_contract_c(p, q, w):
+    pw = p @ w
+    qw = q @ w
+    term1 = np.sum(w[:, None] * w[None, :] * (p * q))
+    term2 = (w @ pw) * (w @ qw)
+    term3 = np.sum(w * (pw * qw))
+    return float((term1 + term2 - 2.0 * term3).real)
+
+
+def _ref_setup(sample, draws, seed):
+    """Atom weights, projections and weighted nodes, drawn as the library
+    draws them."""
+    q = QuadConfig(eps=1e-5, tmax=1e2, panels_per_decade=6,
+                   points_per_panel=12)
+    x, y, w = _collapse(sample.x, sample.y)
+    streams = [np.random.default_rng(s)
+               for s in np.random.SeedSequence(seed).spawn(draws)]
+    xis = np.stack([rg.standard_normal(x.shape[1]) for rg in streams])
+    etas = np.stack([rg.standard_normal(y.shape[1]) for rg in streams])
+    px = x @ xis.T
+    py = y @ etas.T
+    span = max(float(px.max() - px.min()), float(py.max() - py.min()))
+    r, wr_raw = log_panel_grid(q, freq=span)
+    return w, px, py, span, r, wr_raw * r ** (-1.0 - sample.beta), q.tmax
+
+
+def _ref_charrv_mc(sample, draws, seed):
+    beta = sample.beta
+    w, px, py, span, r, wr, tmax = _ref_setup(sample, draws, seed)
+    deltas, (c_full, s_full, c_half, s_half) = _ref_tables(r, wr, tmax, span)
+    f = 1.0 / (2.0 ** beta - 1.0)
+    vals = np.empty(draws)
+    for i in range(draws):
+        p_full = _ref_gap_kernel(px[:, i], deltas, c_full, s_full)
+        p_half = _ref_gap_kernel(px[:, i], deltas, c_half, s_half)
+        q_full = _ref_gap_kernel(py[:, i], deltas, c_full, s_full)
+        q_half = _ref_gap_kernel(py[:, i], deltas, c_half, s_half)
+        v_ff = _ref_contract_c(p_full, q_full, w)
+        v_hf = _ref_contract_c(p_half, q_full, w)
+        v_fh = _ref_contract_c(p_full, q_half, w)
+        v_hh = _ref_contract_c(p_half, q_half, w)
+        tail = (2.0 * v_ff - v_hf - v_fh) * f \
+            + (v_ff - v_hf - v_fh + v_hh) * f * f
+        vals[i] = v_ff + tail
+    c2 = scale_const(beta) ** 2
+    return (c2 * float(vals.mean()),
+            c2 * float(vals.std(ddof=1) / math.sqrt(draws)))
+
+
+def _longdouble_charrv_mc(sample, draws, seed):
+    """The same discretisation with tables, lookups and contractions in
+    extended precision: an accuracy oracle for both float64 forms."""
+    ld = np.longdouble
+    beta = sample.beta
+    w, px, py, span, r, wr, tmax = _ref_setup(sample, draws, seed)
+    f = 1 / (ld(2) ** ld(beta) - 1)
+    wf = wr.astype(ld) * np.where(r > tmax / 2.0, 1 + f, ld(1))
+    deltas = np.concatenate([[0.0], np.geomspace(span * 1e-9, span, 4096)])
+    tabs = np.empty((2, deltas.size), dtype=ld)
+    for lo in range(0, deltas.size, 256):
+        phase = np.outer(deltas[lo:lo + 256].astype(ld), r.astype(ld))
+        tabs[0, lo:lo + 256] = 2 * np.sin(phase / 2) ** 2 @ wf
+        tabs[1, lo:lo + 256] = np.sin(phase) @ wf
+    w = w.astype(ld)
+
+    def kernels(proj):
+        gap = proj[:, None] - proj[None, :]
+        a = np.abs(gap)
+        j = np.clip(np.searchsorted(deltas, a, side="right") - 1,
+                    0, deltas.size - 2)
+        t = (a - deltas[j]).astype(ld) / (deltas[j + 1] - deltas[j])
+        c, s = (tab[j] + t * (tab[j + 1] - tab[j]) for tab in tabs)
+        return c, np.sign(gap) * s
+
+    def contract(a, b):
+        aw = a @ w
+        bw = b @ w
+        return (np.sum(w[:, None] * w[None, :] * (a * b))
+                + (w @ aw) * (w @ bw) - 2 * np.sum(w * (aw * bw)))
+
+    vals = []
+    for i in range(draws):
+        cp, sp = kernels(px[:, i])
+        cq, sq = kernels(py[:, i])
+        vals.append(contract(cp, cq) - contract(sp, sq))
+    vals = np.array(vals)
+    c2 = ld(scale_const(beta)) ** 2
+    return (float(c2 * vals.mean()),
+            float(c2 * vals.std(ddof=1) / np.sqrt(ld(draws))))
 
 
 class TestCharRV:
@@ -47,28 +169,6 @@ class TestCharRV:
             apart = (char_rv(joint.x_atoms, w, xi, r)
                      * char_rv(joint.y_atoms, w, eta, s))
             assert abs(together - apart) <= 1e-12
-
-
-class TestLambda:
-    def test_degenerate(self):
-        assert lambda_fn(np.zeros((4, 1)), np.full(4, 0.25), 1.0) == 0.0
-
-    def test_small_u_limit(self, rng):
-        pts = rng.normal(size=(5, 2))
-        w = np.full(5, 0.2)
-        assert abs(lambda_fn(pts, w, 1e-12)) <= 1e-9
-
-    def test_identically_zero_and_bounded(self, rng):
-        for _ in range(10):
-            pts = rng.normal(size=(6, 3)) * 10
-            w = rng.dirichlet(np.ones(6))
-            val = lambda_fn(pts, w, rng.uniform(0.01, 5.0))
-            assert val == 0.0
-            assert abs(val) <= 4.0
-
-    def test_bad_u(self):
-        with pytest.raises(ValueError):
-            lambda_fn(np.zeros((2, 1)), [0.5, 0.5], 0.0)
 
 
 class TestCharGapIdentity:
@@ -187,3 +287,82 @@ class TestDcovCharRVMC:
             dcov_charrv_mc(PairedSample(x, x, sp, sp), draws=1, seed=1)
         with pytest.raises(ValueError):
             dcov_charrv_mc(PairedSample(x, x, sp, sp), draws=10)
+
+
+class TestFoldedTable:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("collapsed", [False, True])
+    def test_matches_four_contraction_reference(self, beta, dim, collapsed):
+        rng = np.random.default_rng([17, dim, int(collapsed)])
+        n = 40
+        if collapsed:
+            # 4 x atoms and 3 y atoms, y following x: at most 12 distinct
+            # rows, and rows sharing an x give off-diagonal zero gaps
+            ix = rng.integers(0, 4, n)
+            iy = (ix + (rng.uniform(size=n) < 0.25)) % 3
+            x = rng.normal(size=(4, dim))[ix]
+            y = rng.normal(size=(3, 2))[iy]
+            assert _collapse(x, y)[2].size <= 12
+        else:
+            x = rng.normal(size=(n, dim))
+            y = np.column_stack([x[:, 0] + 0.5 * rng.normal(size=n),
+                                 rng.normal(size=n)])
+        sample = PairedSample(x, y, euclidean(dim, beta), euclidean(2, beta))
+        est = dcov_charrv_mc(sample, draws=16, seed=23)
+        ref_value, ref_stderr = _ref_charrv_mc(sample, draws=16, seed=23)
+        # above beta = 1 the reference itself rounds at about 1e-10: its
+        # 1 - cos table loses digits near gap 0 under the r^(-1-beta)
+        # weight, and its uncentered sine kernels carry a part linear in
+        # the gap (about 632 * gap at beta = 1.5) that the contraction has
+        # to cancel; the extended-precision evaluation pins the library
+        rel = 1e-10 if beta <= 1.0 else 1e-9
+        assert est.value == pytest.approx(ref_value, rel=rel)
+        assert est.stderr == pytest.approx(ref_stderr, rel=rel)
+        if beta > 1.0 and np.finfo(np.longdouble).eps < 1e-18:
+            ld_value, ld_stderr = _longdouble_charrv_mc(sample, 16, 23)
+            assert est.value == pytest.approx(ld_value, rel=1e-10)
+            assert est.stderr == pytest.approx(ld_stderr, rel=1e-10)
+
+    def test_lookup_matches_interp(self, rng):
+        span = 3.7
+        r = np.geomspace(1e-3, 50.0, 300)
+        deltas, table = _kernel_table(r, rng.uniform(0.5, 1.5, r.size), span)
+        assert deltas[-1] == span
+        a = np.concatenate([
+            [0.0, 0.0],                                   # gap 0
+            deltas[1] * np.array([1e-6, 0.3, 0.999999]),  # below deltas[1]
+            deltas[1:],                                   # on every node
+            [span, span],                                 # at the span
+            rng.uniform(0.0, span, 5000),
+            span * rng.uniform(0.0, 1.0, 2000) ** 8])
+        got = _gap_lookup(a, deltas, table)
+        for col in (0, 1):
+            ref = np.interp(a, deltas, table[:, col])
+            np.testing.assert_allclose(got[:, col], ref, rtol=1e-14, atol=0)
+        assert np.all(got[:2] == 0.0)
+
+    def test_table_build_memory_is_bounded(self, rng):
+        # the dense 4097 x 10000 phase matrix alone would take 328 MB
+        r = np.geomspace(1e-5, 1e2, 10_000)
+        tracemalloc.start()
+        try:
+            _kernel_table(r, rng.uniform(size=r.size), 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_complex_split_of_contraction(self, rng):
+        def hermitian(k):
+            c = rng.normal(size=(k, k))
+            s = rng.normal(size=(k, k))
+            return c + c.T, s - s.T
+
+        for k in (2, 5, 30):
+            w = rng.dirichlet(np.ones(k))
+            cp, sp = hermitian(k)
+            cq, sq = hermitian(k)
+            whole = _ref_contract_c(-cp + 1j * sp, -cq + 1j * sq, w)
+            split = _d1_contract(cp, cq, w) - _d1_contract(sp, sq, w)
+            assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)

@@ -88,6 +88,33 @@ class TestDcov:
         assert rc == 3
         assert "diverges" in err
 
+    @pytest.mark.parametrize("method, extra", [
+        ("charrv", ["--seed", "1", "--draws", "4"]),
+        ("charfn", ["--prob-col", "prob"])])
+    def test_node_cap_is_exit_3(self, tmp_path, method, extra):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("x1,y1,prob\n0,0,0.25\n10000,0,0.25\n"
+                        "0,1,0.25\n10000,1,0.25\n")
+        rc, out, err = run_cli(["dcov", "--input", str(wide),
+                                "--x-cols", "x1", "--y-cols", "y1",
+                                "--beta", "1", "--method", method] + extra)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: quadrature grid would need")
+        assert err.count("\n") == 1
+
+    def test_charfn_unreliable_tail_is_exit_3(self, tmp_path):
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("x1,y1,prob\n0,0,0.5\n0.001,0.001,0.5\n")
+        rc, out, err = run_cli(["dcov", "--input", str(narrow),
+                                "--x-cols", "x1", "--y-cols", "y1",
+                                "--beta", "1", "--method", "charfn",
+                                "--prob-col", "prob"])
+        assert rc == 3
+        assert out == ""
+        assert err == ("error: outer-cutoff extrapolation unreliable; "
+                       "raise tmax\n")
+
     def test_beta2_requires_beta_two(self, sample_csv):
         rc, _, _ = run_cli(["dcov", "--input", sample_csv,
                             "--x-cols", "x1", "--y-cols", "y1",
