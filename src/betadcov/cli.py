@@ -47,33 +47,38 @@ def _sample_args(p, need_y=True):
 
 
 def _load_parts(args, need_y=True):
+    """x, y and the --prob-col column (None without one) from one CSV read."""
     header, data = load_csv(args.input)
-    xi = parse_columns(args.x_cols, header, "x")
-    x = data[:, xi]
-    if not need_y:
-        return x, None
-    yi = parse_columns(args.y_cols, header, "y")
-    return x, data[:, yi]
-
-
-def _load_joint(args, x, y):
+    x = data[:, parse_columns(args.x_cols, header, "x")]
+    y = data[:, parse_columns(args.y_cols, header, "y")] if need_y else None
+    probs = None
     if getattr(args, "prob_col", None):
-        header, data = load_csv(args.input)
         pi = parse_columns(args.prob_col, header, "prob")
         if len(pi) != 1:
             raise ValueError("prob column selection must name one column")
         probs = data[:, pi[0]]
-        probs = probs / probs.sum() if abs(probs.sum() - 1) <= 1e-9 else probs
-    else:
+    return x, y, probs
+
+
+def _load_joint(args, x, y, probs):
+    if probs is None:
         probs = np.full(len(x), 1.0 / len(x))
+    elif abs(probs.sum() - 1) <= 1e-9:
+        probs = probs / probs.sum()
     sx = euclidean(x.shape[1], args.beta)
     sy = euclidean(y.shape[1], args.beta)
     return DiscreteJoint(x, y, probs, sx, sy)
 
 
+_JOINT_METHODS = ("exact", "charfn")
+
+
 def _cmd_dcov(args):
     start = time.perf_counter()
-    x, y = _load_parts(args)
+    if args.prob_col and args.method not in _JOINT_METHODS:
+        raise ValueError("--prob-col applies only to methods %s"
+                         % " and ".join(_JOINT_METHODS))
+    x, y, probs = _load_parts(args)
     beta = args.beta
     sx = euclidean(x.shape[1], beta)
     sy = euclidean(y.shape[1], beta)
@@ -104,8 +109,8 @@ def _cmd_dcov(args):
                 m = 1e6 * max(float(np.max(cdist(x, x) ** 2)),
                               float(np.max(cdist(y, y) ** 2)), 1.0)
             est = dcov_hm(sample, m)
-    elif args.method in ("exact", "charfn"):
-        joint = _load_joint(args, x, y)
+    elif args.method in _JOINT_METHODS:
+        joint = _load_joint(args, x, y, probs)
         if args.method == "exact":
             est = dcov_exact(joint, "d1")
         else:
@@ -124,7 +129,7 @@ def _cmd_dcov(args):
 
 def _cmd_test(args):
     start = time.perf_counter()
-    x, y = _load_parts(args)
+    x, y, _ = _load_parts(args)
     sample = PairedSample(x, y, euclidean(x.shape[1], args.beta),
                           euclidean(y.shape[1], args.beta))
     res = perm_test(sample, B=args.permutations, seed=args.seed)
@@ -136,11 +141,11 @@ def _cmd_test(args):
 
 def _cmd_converge(args):
     start = time.perf_counter()
-    x, y = _load_parts(args)
+    x, y, probs = _load_parts(args)
     if not args.prob_col:
         raise ValueError("--prob-col is required: converge needs an exact "
                          "finite joint as the population")
-    joint = _load_joint(args, x, y)
+    joint = _load_joint(args, x, y, probs)
     schedule = [int(v) for v in args.n_schedule.split(",")]
     seeds = [int(v) for v in args.seeds.split(",")]
     trace = consistency_sweep(joint, schedule, seeds, method=args.method)
@@ -161,7 +166,7 @@ def _cmd_converge(args):
 
 def _cmd_diag(args):
     start = time.perf_counter()
-    x, _ = _load_parts(args, need_y=False)
+    x, _, _ = _load_parts(args, need_y=False)
     value = tail_diagnostic(x, euclidean(x.shape[1], args.beta))
     _emit({"subcommand": "diag", "beta": args.beta, "n": len(x),
            "value": value}, start)
@@ -273,7 +278,7 @@ def build_parser():
     p.add_argument("--grid-panels", type=int, default=None,
                    help="quadrature panels per decade for method charfn")
     p.add_argument("--prob-col", default=None,
-                   help="probability column (methods exact/charfn)")
+                   help="probability column (methods exact/charfn only)")
     p.set_defaults(func=_cmd_dcov)
 
     p = sub.add_parser("test", help="permutation independence test")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from betadcov import DiscreteJoint, euclidean, table
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("betadcov", derandomize=True, deadline=None,
+                          max_examples=100)
+settings.load_profile("betadcov")
 
 
 def random_joint(rng, support=None, dim_x=None, dim_y=None, beta=1.0,

@@ -8,7 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+from betadcov import cli
 from betadcov.cli import main
+from betadcov.io import load_csv
 
 SCHEMA = json.loads(importlib.resources.files("betadcov")
                     .joinpath("report_schema.json").read_text())
@@ -150,6 +152,39 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         rc, _, _ = run_cli(["frobnicate"])
         assert rc == 2
+
+    @pytest.mark.parametrize("method",
+                             ["d1", "centered", "beta2", "charrv", "hm"])
+    def test_prob_col_rejected_for_sample_methods(self, joint_csv, capsys,
+                                                  method):
+        rc = main(["dcov", "--input", joint_csv, "--x-cols", "x1",
+                   "--y-cols", "y1", "--beta", "1", "--method", method,
+                   "--seed", "1", "--prob-col", "prob"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: --prob-col applies only to methods exact "
+                       "and charfn\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dcov", "--method", "exact"],
+    ["dcov", "--method", "charfn"],
+    ["converge", "--n-schedule", "10", "--seeds", "1"]])
+def test_joint_input_is_read_once(joint_csv, monkeypatch, capsys, argv):
+    reads = []
+
+    def counting_load(path):
+        reads.append(path)
+        return load_csv(path)
+
+    monkeypatch.setattr(cli, "load_csv", counting_load)
+    rc = main(argv[:1] + ["--input", joint_csv, "--x-cols", "x1",
+                          "--y-cols", "y1", "--beta", "1",
+                          "--prob-col", "prob"] + argv[1:])
+    capsys.readouterr()
+    assert rc == 0
+    assert reads == [joint_csv]
 
 
 class TestOtherSubcommands:
