@@ -24,10 +24,10 @@ the diagonal and takes the real part as two real contractions.
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .charfn import DomainError, QuadConfig, log_panel_grid, scale_const
-from .exact import DcovEstimate, _d1_contract
+from .exact import DcovEstimate, _d1_contract, _d1_rows
+from .metric import squared_distance_rows
 
 
 def char_rv(points, weights, xi, r):
@@ -55,8 +55,9 @@ def mean_sq_char_gap(joint, r, s):
     pairwise contraction of two Gaussian kernel matrices with scale
     parameters r^2/2 and s^2/2. Finite-support joints only.
     """
-    dx2 = cdist(joint.x_atoms, joint.x_atoms) ** 2
-    dy2 = cdist(joint.y_atoms, joint.y_atoms) ** 2
+    k = joint.support
+    dx2 = squared_distance_rows(joint.x_atoms, 0, k)
+    dy2 = squared_distance_rows(joint.y_atoms, 0, k)
     gx = np.exp(-(r * r / 2.0) * dx2)
     gy = np.exp(-(s * s / 2.0) * dy2)
     return _d1_contract(gx, gy, joint.probs)
@@ -210,7 +211,9 @@ def h_trunc(x, m, beta):
     """Regularizing kernel x^(b/2) + M^(b/2) - (x+M)^(b/2) on x >= 0.
 
     Nonnegative, bounded by x^(b/2), and nondecreasing in M with limit
-    x^(b/2) as M grows (for 0 < beta < 2).
+    x^(b/2) as M grows (for 0 < beta < 2). Evaluated as
+    x^e - M^e expm1(e log1p(x/M)) with e = b/2, which avoids the
+    cancellation of M^e against (x+M)^e when M is much larger than x.
     """
     if m <= 0:
         raise ValueError("M must be positive")
@@ -218,7 +221,7 @@ def h_trunc(x, m, beta):
         raise DomainError("beta must lie in (0, 2), got %g" % beta)
     x = np.asarray(x, dtype=float)
     e = beta / 2.0
-    return x ** e + m ** e - (x + m) ** e
+    return x ** e - m ** e * np.expm1(e * np.log1p(x / m))
 
 
 def dcov_hm(sample, m):
@@ -227,15 +230,20 @@ def dcov_hm(sample, m):
     Replaces the beta-powered distance by h_trunc of the squared
     distance and evaluates the quarter-mean of the product of the two
     alternating four-point sums, which reduces to the same pairwise
-    contraction as the untruncated estimator. Nondecreasing in M and
-    converging to dcov_plugin_d1 as M grows.
+    contraction as the untruncated estimator, swept over row blocks of
+    the two kernels. Nondecreasing in M and converging to
+    dcov_plugin_d1 as M grows.
     """
     if sample.x_spec.kind != "euclidean" or sample.y_spec.kind != "euclidean":
         raise ValueError("truncated kernel route needs Euclidean parts")
+    if sample.n < 2:
+        raise ValueError("need at least 2 observations, got %d" % sample.n)
     beta = sample.beta
-    a = h_trunc(cdist(sample.x, sample.x) ** 2, m, beta)
-    b = h_trunc(cdist(sample.y, sample.y) ** 2, m, beta)
-    w = np.full(sample.n, 1.0 / sample.n)
-    value = _d1_contract(a, b, w)
+
+    def rows(lo, hi):
+        return (h_trunc(squared_distance_rows(sample.x, lo, hi), m, beta),
+                h_trunc(squared_distance_rows(sample.y, lo, hi), m, beta))
+
+    value = _d1_rows(rows, np.full(sample.n, 1.0 / sample.n))
     return DcovEstimate(value=value, method="hm", beta=beta, n=sample.n,
                         aux={"M": float(m)})

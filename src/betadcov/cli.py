@@ -9,12 +9,10 @@ validity) or a quadrature that cannot be carried out.
 
 import argparse
 import json
-import os
 import sys
 import time
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import __version__
 from .beta2 import dcov2_closed
@@ -26,7 +24,7 @@ from .exact import DiscreteJoint, dcov_exact, projection_demo
 from .inference import (MomentFlags, consistency_sweep, perm_test,
                         regime_classify, tail_diagnostic)
 from .io import load_csv, parse_columns
-from .metric import euclidean
+from .metric import euclidean, row_blocks, squared_distance_rows
 
 
 def _emit(report, start, stream=None):
@@ -73,6 +71,12 @@ def _load_joint(args, x, y, probs):
 _JOINT_METHODS = ("exact", "charfn")
 
 
+def _max_sq_distance(pts):
+    """Largest squared distance between rows of pts, one row block at a time."""
+    return max(float(squared_distance_rows(pts, lo, hi).max())
+               for lo, hi in row_blocks(len(pts)))
+
+
 def _cmd_dcov(args):
     start = time.perf_counter()
     if args.prob_col and args.method not in _JOINT_METHODS:
@@ -106,8 +110,7 @@ def _cmd_dcov(args):
         else:
             m = args.trunc_m
             if m is None:
-                m = 1e6 * max(float(np.max(cdist(x, x) ** 2)),
-                              float(np.max(cdist(y, y) ** 2)), 1.0)
+                m = 1e6 * max(_max_sq_distance(x), _max_sq_distance(y), 1.0)
             est = dcov_hm(sample, m)
     elif args.method in _JOINT_METHODS:
         joint = _load_joint(args, x, y, probs)
@@ -259,10 +262,6 @@ def build_parser():
         prog="betadcov",
         description="beta-distance covariance estimators and diagnostics")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("BETADCOV_THREADS", "1")),
-        help="worker thread budget; results are identical for any value")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("dcov", help="distance covariance of a paired sample")

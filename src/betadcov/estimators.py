@@ -1,21 +1,31 @@
 """Plug-in estimators of beta-distance covariance from paired samples.
 
-Both estimators are V-statistics: they evaluate the population
+All estimators are V-statistics: they evaluate the population
 functional on the empirical measure with weight 1/n per observation,
 matching the finite-support formulas in the exact module.
+
+None of them builds an n x n matrix. They sweep row blocks of the two
+beta-powered distance kernels, recomputed from the points for each
+sweep (metric.distance_rows). d1 collects its three pairwise-form sums
+in one sweep (exact._d1_rows). The doubly centered estimator and dcor
+share a two-sweep contraction: the first sweep collects the row means,
+the second centers each block entrywise and sums the products. Memory
+is O(n * block) on top of the points; time is O(n^2 d) per sweep.
 """
 
 import numpy as np
 
-from .exact import DcovEstimate, _centered_kernel, _d1_contract
-from .metric import as_points, pairwise_distances
+from .exact import DcovEstimate, _d1_rows
+from .metric import as_points, distance_rows, pairwise_distances, row_blocks
 
 
 class PairedSample:
     """n paired observations with one metric spec per side.
 
-    Distance matrices are computed lazily and cached, so several
-    estimators can share them.
+    The estimators read row blocks of the distance kernels (rows). The
+    full distance matrices are built only on request (x_dist, y_dist)
+    and cached, for callers that reuse them, such as the permutation
+    test.
     """
 
     def __init__(self, x_points, y_points, x_spec, y_spec):
@@ -23,8 +33,10 @@ class PairedSample:
             raise ValueError("x and y specs must share one beta")
         self.x_spec = x_spec
         self.y_spec = y_spec
-        self.x = as_points(x_points, x_spec)
-        self.y = as_points(y_points, y_spec)
+        # column-major, so the coordinate columns that every kernel row
+        # block reads are contiguous
+        self.x = np.asfortranarray(as_points(x_points, x_spec))
+        self.y = np.asfortranarray(as_points(y_points, y_spec))
         if len(self.x) != len(self.y):
             raise ValueError("x and y parts must have equal length")
         self._a = None
@@ -37,6 +49,11 @@ class PairedSample:
     @property
     def beta(self):
         return self.x_spec.beta
+
+    def rows(self, lo, hi):
+        """Rows lo:hi of the x and y distance kernels, freshly computed."""
+        return (distance_rows(self.x, self.x_spec, lo, hi),
+                distance_rows(self.y, self.y_spec, lo, hi))
 
     def x_dist(self):
         if self._a is None:
@@ -57,6 +74,38 @@ def _require_n(sample, least=2):
         raise ValueError("need at least %d observations, got %d" % (least, sample.n))
 
 
+def _centered_sums(sample):
+    """Mean products (xy, xx, yy) of the doubly centered distance kernels.
+
+    The first sweep collects the row means of both kernels; the second
+    recomputes each row block, centers it by row, column and grand mean
+    and sums the entrywise products. Returns a length-3 array.
+    """
+    n = sample.n
+    blocks = row_blocks(n)
+    ra = np.empty(n)
+    rb = np.empty(n)
+    for lo, hi in blocks:
+        a, b = sample.rows(lo, hi)
+        ra[lo:hi] = a.mean(axis=1)
+        rb[lo:hi] = b.mean(axis=1)
+    ga = ra.mean()
+    gb = rb.mean()
+    sums = np.zeros(3)
+    for lo, hi in blocks:
+        a, b = sample.rows(lo, hi)
+        a -= ra[lo:hi, None]
+        a -= ra
+        a += ga
+        b -= rb[lo:hi, None]
+        b -= rb
+        b += gb
+        a = a.ravel()
+        b = b.ravel()
+        sums += (a @ b, a @ a, b @ b)
+    return sums / (float(n) * n)
+
+
 def dcov_plugin_d1(sample):
     """Pairwise-form plug-in estimator.
 
@@ -65,7 +114,7 @@ def dcov_plugin_d1(sample):
     """
     _require_n(sample)
     w = np.full(sample.n, 1.0 / sample.n)
-    value = _d1_contract(sample.x_dist(), sample.y_dist(), w)
+    value = _d1_rows(sample.rows, w)
     return DcovEstimate(value=value, method="d1", beta=sample.beta, n=sample.n)
 
 
@@ -77,27 +126,20 @@ def dcov_centered(sample):
     dcov_plugin_d1; numerically they agree within 1e-9.
     """
     _require_n(sample)
-    n = sample.n
-    w = np.full(n, 1.0 / n)
-    ca = _centered_kernel(sample.x_dist(), w)
-    cb = _centered_kernel(sample.y_dist(), w)
-    value = float(np.sum(ca * cb)) / (n * n)
-    return DcovEstimate(value=value, method="centered", beta=sample.beta, n=n)
+    value = float(_centered_sums(sample)[0])
+    return DcovEstimate(value=value, method="centered", beta=sample.beta,
+                        n=sample.n)
 
 
 def dcor(sample):
     """Normalized distance correlation in [0, 1] (up to estimation noise).
 
     Ratio of dcov(x, y) to the geometric mean of dcov(x, x) and
-    dcov(y, y), all via the centered estimator. Raises if either
-    marginal is degenerate.
+    dcov(y, y), all via the centered estimator and taken from one
+    two-sweep contraction. Raises if either marginal is degenerate.
     """
     _require_n(sample)
-    vxy = dcov_centered(sample).value
-    vxx = dcov_centered(PairedSample(sample.x, sample.x,
-                                     sample.x_spec, sample.x_spec)).value
-    vyy = dcov_centered(PairedSample(sample.y, sample.y,
-                                     sample.y_spec, sample.y_spec)).value
+    vxy, vxx, vyy = (float(v) for v in _centered_sums(sample))
     if vxx <= 0 or vyy <= 0:
         raise ValueError("degenerate marginal: dcov(x,x)=%g, dcov(y,y)=%g"
                          % (vxx, vyy))

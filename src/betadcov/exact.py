@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import MetricSpec, as_points, euclidean, pairwise_distances
+from .metric import (MetricSpec, as_points, euclidean, pairwise_distances,
+                     row_blocks)
 
 #: default cap on support size for the O(k^4) quadruple sum
 D2_SUPPORT_CAP = 64
@@ -132,19 +133,30 @@ def ttilde_eval(x1, x2, marginal_atoms, marginal_probs, spec):
     return a12 - row1 - row2 + grand
 
 
-def _d1_contract(a, b, w):
-    """Weighted pairwise-form contraction shared by several estimators.
+def _d1_rows(rows, w):
+    """Three-term pairwise-form contraction collected over row blocks.
 
-    Computes sum_ij w_i w_j a_ij b_ij + (w'a w)(w'b w)
-    - 2 sum_i w_i (a w)_i (b w)_i for kernels a, b that are both symmetric
-    or both antisymmetric (the sine halves of Hermitian kernels).
+    rows(lo, hi) returns rows lo:hi of two kernels a, b that are both
+    symmetric or both antisymmetric (the sine halves of Hermitian
+    kernels). Returns sum_ij w_i w_j a_ij b_ij + (w'a w)(w'b w)
+    - 2 sum_i w_i (a w)_i (b w)_i, holding one row block at a time.
     """
-    aw = a @ w
-    bw = b @ w
-    term1 = float(np.sum(w[:, None] * w[None, :] * (a * b)))
+    aw = np.empty(w.size)
+    bw = np.empty(w.size)
+    term1 = 0.0
+    for lo, hi in row_blocks(w.size):
+        a, b = rows(lo, hi)
+        aw[lo:hi] = a @ w
+        bw[lo:hi] = b @ w
+        term1 += float(w[lo:hi] @ ((a * b) @ w))
     term2 = float(w @ aw) * float(w @ bw)
     term3 = float(np.sum(w * (aw * bw)))
     return term1 + term2 - 2.0 * term3
+
+
+def _d1_contract(a, b, w):
+    """_d1_rows over the row slices of two kernel matrices a, b."""
+    return _d1_rows(lambda lo, hi: (a[lo:hi], b[lo:hi]), w)
 
 
 def _centered_kernel(a, w):

@@ -9,6 +9,7 @@ heuristic, the latter turns analyst-supplied moment facts into a
 per-definition finite / infinite / undefined verdict.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,10 @@ def perm_test(sample, B=199, seed=None):
     The y rows are relabeled uniformly B times; the p-value uses the
     add-one convention (1 + #{permuted >= observed}) / (B + 1), so it
     is never exactly zero. The x distance matrix is centered once and
-    reused across permutations.
+    reused across permutations. The test holds four dense n x n float64
+    matrices (both distance matrices and their centered copies); a
+    sample for which they would exceed physical memory is refused
+    before anything is allocated.
     """
     if sample.n < 4:
         raise ValueError("need at least 4 observations")
@@ -43,6 +47,13 @@ def perm_test(sample, B=199, seed=None):
     if seed is None:
         raise ValueError("seed is required (no silent nondeterminism)")
     n = sample.n
+    need = 4 * 8 * n * n
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > phys:
+        raise ValueError(
+            "permutation test at n=%d needs about %d bytes (%.1f GB) for "
+            "four n x n matrices, more than the %.1f GB of physical memory"
+            % (n, need, need / 1e9, phys / 1e9))
     w = np.full(n, 1.0 / n)
     ca = _centered_kernel(sample.x_dist(), w)
     cb = _centered_kernel(sample.y_dist(), w)

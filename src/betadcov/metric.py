@@ -1,15 +1,25 @@
-"""Points, metric specifications and beta-powered distance matrices.
+"""Points, metric specifications and beta-powered distance kernels.
 
 Two kinds of spaces are supported: Euclidean R^d (points are coordinate
 rows) and finite metric spaces given by an explicit distance table
 (points are integer indices into the table). All distances are raised
 to a configurable exponent beta > 0 before use.
+
+Kernels are built one row block at a time (row_blocks, distance_rows),
+so a caller that only needs sums over the kernel holds O(n * block)
+numbers instead of an n x n matrix. Euclidean distances come from
+coordinate differences, summed one coordinate at a time, never from
+the Gram identity |x|^2 + |y|^2 - 2 x.y, which loses the digits of
+nearby points. pairwise_distances assembles the full matrix from the
+same blocks.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+#: elements (rows x columns) in one row block of a tiled kernel
+BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -152,25 +162,42 @@ def as_points(points, spec):
     return idx
 
 
-def _power(d, beta):
-    """Elementwise d**beta with d=0 mapped to 0 (avoids log-domain issues)."""
-    if beta == 1.0:
-        return d
-    out = np.zeros_like(d)
-    nz = d > 0
-    out[nz] = np.exp(beta * np.log(d[nz]))
+def row_blocks(n):
+    """Bounds (lo, hi) of consecutive row blocks of an n-column kernel."""
+    rows = max(1, BLOCK_ELEMENTS // max(n, 1))
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def squared_distance_rows(pts, lo, hi):
+    """Rows lo:hi of the squared Euclidean distance matrix of (n, d) pts.
+
+    Summed over coordinates from explicit differences, so the result is
+    exactly symmetric and exactly 0 between equal points. Fastest on
+    column-major pts, whose coordinate columns are contiguous.
+    """
+    out = np.subtract.outer(pts[lo:hi, 0], pts[:, 0])
+    np.square(out, out=out)
+    for k in range(1, pts.shape[1]):
+        diff = np.subtract.outer(pts[lo:hi, k], pts[:, k])
+        out += np.square(diff, out=diff)
     return out
+
+
+def distance_rows(pts, spec, lo, hi):
+    """Rows lo:hi of d(x_i, x_j)**beta for points normalized by as_points."""
+    if spec.kind == "table":
+        return spec.table[np.ix_(pts[lo:hi], pts)] ** spec.beta
+    # (d^2)^(beta/2); numpy evaluates ** 0.5 as a square root
+    return squared_distance_rows(pts, lo, hi) ** (0.5 * spec.beta)
 
 
 def pairwise_distances(points, spec):
     """Symmetric matrix of d(x_i, x_j)**beta with zero diagonal."""
     pts = as_points(points, spec)
-    if spec.kind == "euclidean":
-        d = cdist(pts, pts)
-    else:
-        d = spec.table[np.ix_(pts, pts)].astype(float)
-    out = _power(d, spec.beta)
-    np.fill_diagonal(out, 0.0)
+    n = len(pts)
+    out = np.empty((n, n))
+    for lo, hi in row_blocks(n):
+        out[lo:hi] = distance_rows(pts, spec, lo, hi)
     return out
 
 
@@ -180,5 +207,5 @@ def norms_to_base(points, spec):
     if spec.kind == "euclidean":
         d = np.linalg.norm(pts, axis=1)
     else:
-        d = spec.table[pts, spec.base_index].astype(float)
-    return _power(d, spec.beta)
+        d = spec.table[pts, spec.base_index]
+    return d ** spec.beta

@@ -123,6 +123,19 @@ class TestDcov:
                             "--beta", "1", "--method", "beta2"])
         assert rc == 3
 
+    def test_hm_default_truncation_level(self, sample_csv, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "dcov_hm",
+                            lambda sample, m: seen.append(m) or
+                            cli.dcov_plugin_d1(sample))
+        assert main(["dcov", "--input", sample_csv, "--x-cols", "x1",
+                     "--y-cols", "y1", "--beta", "1", "--method", "hm"]) == 0
+        _, data = load_csv(sample_csv)
+        dx = np.subtract.outer(data[:, 0], data[:, 0])
+        dy = np.subtract.outer(data[:, 1], data[:, 1])
+        assert seen == [1e6 * max(float(np.max(dx * dx)),
+                                  float(np.max(dy * dy)), 1.0)]
+
     def test_hm_and_beta2_reports(self, sample_csv):
         for method, beta in (("hm", "1"), ("beta2", "2")):
             rc, out, _ = run_cli(["dcov", "--input", sample_csv,
@@ -152,6 +165,29 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         rc, _, _ = run_cli(["frobnicate"])
         assert rc == 2
+
+    def test_threads_flag_is_gone(self):
+        rc, out, err = run_cli(["constants", "--ell", "1", "--beta", "1",
+                                "--threads", "2"])
+        assert rc == 2
+        assert out == ""
+        assert "unrecognized arguments: --threads 2" in err
+
+    def test_perm_test_beyond_memory_is_one_line(self, tmp_path):
+        import os
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n = int(np.sqrt(phys / 32)) + 2
+        path = tmp_path / "big.csv"
+        path.write_text("x1,y1\n" + "".join("%d,%d\n" % (i, n - i)
+                                             for i in range(n)))
+        rc, out, err = run_cli(["test", "--input", str(path), "--x-cols",
+                                "x1", "--y-cols", "y1", "--beta", "1",
+                                "--seed", "1"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: permutation test at n=%d needs about "
+                              "%d bytes" % (n, 32 * n * n))
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("method",
                              ["d1", "centered", "beta2", "charrv", "hm"])
@@ -258,7 +294,7 @@ class TestDeterminism:
     def test_threads_do_not_change_bytes(self, sample_csv):
         outs = []
         for threads in ("1", "8"):
-            rc, out, _ = run_cli(["--threads", threads, "dcov",
+            rc, out, _ = run_cli(["dcov",
                                   "--input", sample_csv,
                                   "--x-cols", "x1", "--y-cols", "y1",
                                   "--beta", "1", "--method", "charrv",
@@ -266,6 +302,28 @@ class TestDeterminism:
             assert rc == 0
             outs.append(strip_wall_time(out).encode())
         assert outs[0] == outs[1]
+
+
+    def test_seeded_permutation_test_repeats_bytes(self, sample_csv):
+        outs = []
+        for _ in range(2):
+            rc, out, _ = run_cli(["test", "--input", sample_csv,
+                                  "--x-cols", "x1", "--y-cols", "y1",
+                                  "--beta", "0.5", "-B", "99",
+                                  "--seed", "5"])
+            assert rc == 0
+            assert json.loads(out)["permutations"] == 99
+            outs.append(strip_wall_time(out).encode())
+        assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, betadcov.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
 
 
 def test_main_callable_directly(sample_csv):

@@ -1,3 +1,7 @@
+import math
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +68,22 @@ class TestPermTest:
             perm_test(make_sample(x, x), B=5, seed=1)
         with pytest.raises(ValueError):
             perm_test(make_sample(x, x), B=99)
+
+    def test_refuses_beyond_physical_memory_before_allocating(self):
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        # the smallest n whose four n x n float64 matrices exceed memory
+        n = math.isqrt(phys // 32) + 1
+        x = np.linspace(0.0, 1.0, n)
+        sample = make_sample(x, x[::-1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"needs about %d bytes"
+                               % (32 * n * n)):
+                perm_test(sample, B=19, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestConsistencySweep:
