@@ -199,7 +199,9 @@ def dcov_charfn_1d(joint, q=None):
     origin_err = c2 * (origin_t + origin_u)
     if abs(tail) > 0.5 * max(full, 1e-300):
         raise QuadratureError(
-            "outer-cutoff extrapolation unreliable; raise tmax")
+            "outer-cutoff extrapolation unreliable; multiply the data by "
+            "c > 1 (as raising tmax by c), then divide the value by "
+            "c^(2 beta)")
     aux = {
         "trunc_err": trunc_err,
         "origin_err": origin_err,

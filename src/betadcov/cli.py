@@ -21,8 +21,8 @@ from .charfn import (DomainError, QuadConfig, QuadratureError, c_const,
 from .charrv import dcov_charrv_mc, dcov_hm
 from .estimators import PairedSample, dcov_centered, dcov_plugin_d1
 from .exact import DiscreteJoint, dcov_exact, projection_demo
-from .inference import (MomentFlags, consistency_sweep, perm_test,
-                        regime_classify, tail_diagnostic)
+from .inference import (SWEEP_METHODS, MomentFlags, consistency_sweep,
+                        perm_test, regime_classify, tail_diagnostic)
 from .io import load_csv, parse_columns
 from .metric import euclidean, row_blocks, squared_distance_rows
 
@@ -58,17 +58,18 @@ def _load_parts(args, need_y=True):
     return x, y, probs
 
 
-def _load_joint(args, x, y, probs):
+def _load_input(args, kind):
+    """The CSV as a PairedSample (kind "sample") or DiscreteJoint ("joint")."""
+    x, y, probs = _load_parts(args)
+    sx = euclidean(x.shape[1], args.beta)
+    sy = euclidean(y.shape[1], args.beta)
+    if kind == "sample":
+        return PairedSample(x, y, sx, sy)
     if probs is None:
         probs = np.full(len(x), 1.0 / len(x))
     elif abs(probs.sum() - 1) <= 1e-9:
         probs = probs / probs.sum()
-    sx = euclidean(x.shape[1], args.beta)
-    sy = euclidean(y.shape[1], args.beta)
     return DiscreteJoint(x, y, probs, sx, sy)
-
-
-_JOINT_METHODS = ("exact", "charfn")
 
 
 def _max_sq_distance(pts):
@@ -77,65 +78,70 @@ def _max_sq_distance(pts):
                for lo, hi in row_blocks(len(pts)))
 
 
-def _cmd_dcov(args):
-    start = time.perf_counter()
-    if args.prob_col and args.method not in _JOINT_METHODS:
-        raise ValueError("--prob-col applies only to methods %s"
-                         % " and ".join(_JOINT_METHODS))
-    x, y, probs = _load_parts(args)
-    beta = args.beta
-    sx = euclidean(x.shape[1], beta)
-    sy = euclidean(y.shape[1], beta)
-    report = {"subcommand": "dcov", "method": args.method, "beta": beta,
-              "seed": args.seed, "stderr": None, "error_estimate": None}
+def _beta2(sample, args):
+    if args.beta != 2.0:
+        raise DomainError(
+            "the cross-covariance closed form is specific to beta=2")
+    return dcov2_closed(sample)
+
+
+def _charrv(sample, args):
+    if args.seed is None:
+        raise ValueError("--seed is required for method charrv")
+    return dcov_charrv_mc(sample, draws=args.draws, seed=args.seed)
+
+
+def _hm(sample, args):
+    m = args.trunc_m
+    if m is None:
+        m = 1e6 * max(_max_sq_distance(sample.x), _max_sq_distance(sample.y),
+                      1.0)
+    return dcov_hm(sample, m)
+
+
+def _charfn(joint, args):
     quad = None
     if args.grid_panels:
         quad = QuadConfig(panels_per_decade=args.grid_panels)
+    return dcov_charfn_1d(joint, q=quad)
 
-    if args.method in ("d1", "centered", "beta2", "charrv", "hm"):
-        sample = PairedSample(x, y, sx, sy)
-        if args.method == "d1":
-            est = dcov_plugin_d1(sample)
-        elif args.method == "centered":
-            est = dcov_centered(sample)
-        elif args.method == "beta2":
-            if beta != 2.0:
-                raise DomainError(
-                    "the cross-covariance closed form is specific to beta=2")
-            est = dcov2_closed(sample)
-        elif args.method == "charrv":
-            if args.seed is None:
-                raise ValueError("--seed is required for method charrv")
-            est = dcov_charrv_mc(sample, draws=args.draws, seed=args.seed)
-        else:
-            m = args.trunc_m
-            if m is None:
-                m = 1e6 * max(_max_sq_distance(x), _max_sq_distance(y), 1.0)
-            est = dcov_hm(sample, m)
-    elif args.method in _JOINT_METHODS:
-        joint = _load_joint(args, x, y, probs)
-        if args.method == "exact":
-            est = dcov_exact(joint, "d1")
-        else:
-            est = dcov_charfn_1d(joint, q=quad)
-            report["error_estimate"] = (est.aux["trunc_err"]
-                                        + est.aux["origin_err"])
-    else:
-        raise ValueError("unknown method %r" % args.method)
 
-    report.update(value=est.value, n=est.n)
-    if est.stderr is not None:
-        report["stderr"] = est.stderr
+#: dcov methods: name -> (input kind, builder(input, args)). A "sample"
+#: input is a PairedSample, a "joint" input a DiscreteJoint weighted by
+#: --prob-col. Builders look the library functions up when called.
+METHODS = {
+    "d1": ("sample", lambda sample, args: dcov_plugin_d1(sample)),
+    "centered": ("sample", lambda sample, args: dcov_centered(sample)),
+    "beta2": ("sample", _beta2),
+    "charrv": ("sample", _charrv),
+    "hm": ("sample", _hm),
+    "exact": ("joint", lambda joint, args: dcov_exact(joint, "d1")),
+    "charfn": ("joint", _charfn),
+}
+
+
+def _cmd_dcov(args):
+    start = time.perf_counter()
+    kind, build = METHODS[args.method]
+    if args.prob_col and kind != "joint":
+        joint_methods = [name for name, (k, _) in METHODS.items()
+                         if k == "joint"]
+        raise ValueError("--prob-col applies only to methods %s"
+                         % " and ".join(joint_methods))
+    est = build(_load_input(args, kind), args)
+    report = {"subcommand": "dcov", "method": args.method, "beta": args.beta,
+              "seed": args.seed, "value": est.value, "n": est.n,
+              "stderr": est.stderr, "error_estimate": None}
+    if est.aux and "trunc_err" in est.aux:
+        report["error_estimate"] = est.aux["trunc_err"] + est.aux["origin_err"]
     _emit(report, start)
     return 0
 
 
 def _cmd_test(args):
     start = time.perf_counter()
-    x, y, _ = _load_parts(args)
-    sample = PairedSample(x, y, euclidean(x.shape[1], args.beta),
-                          euclidean(y.shape[1], args.beta))
-    res = perm_test(sample, B=args.permutations, seed=args.seed)
+    res = perm_test(_load_input(args, "sample"), B=args.permutations,
+                    seed=args.seed)
     _emit({"subcommand": "test", "beta": res.beta, "n": res.n,
            "observed": res.observed, "p_value": res.p_value,
            "permutations": res.B, "seed": res.seed}, start)
@@ -144,11 +150,10 @@ def _cmd_test(args):
 
 def _cmd_converge(args):
     start = time.perf_counter()
-    x, y, probs = _load_parts(args)
     if not args.prob_col:
         raise ValueError("--prob-col is required: converge needs an exact "
                          "finite joint as the population")
-    joint = _load_joint(args, x, y, probs)
+    joint = _load_input(args, "joint")
     schedule = [int(v) for v in args.n_schedule.split(",")]
     seeds = [int(v) for v in args.seeds.split(",")]
     trace = consistency_sweep(joint, schedule, seeds, method=args.method)
@@ -160,7 +165,7 @@ def _cmd_converge(args):
     else:
         _emit({"subcommand": "converge", "beta": args.beta,
                "method": trace.method, "population": trace.population,
-               "seed": seeds[0],
+               "seeds": seeds,
                "rows": [{"n": n, "median_estimate": est,
                          "median_abs_error": err}
                         for n, est, err in trace.rows]}, start)
@@ -266,9 +271,7 @@ def build_parser():
 
     p = sub.add_parser("dcov", help="distance covariance of a paired sample")
     _sample_args(p)
-    p.add_argument("--method", required=True,
-                   choices=["d1", "centered", "charfn", "charrv", "hm",
-                            "beta2", "exact"])
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--draws", type=int, default=2000,
                    help="Monte Carlo draws for method charrv")
@@ -293,7 +296,7 @@ def build_parser():
     p.add_argument("--n-schedule", required=True,
                    help="comma separated sample sizes, increasing")
     p.add_argument("--seeds", required=True, help="comma separated seeds")
-    p.add_argument("--method", default="d1", choices=["d1", "centered"])
+    p.add_argument("--method", default="d1", choices=SWEEP_METHODS)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=_cmd_converge)
 

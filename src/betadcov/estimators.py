@@ -8,15 +8,16 @@ None of them builds an n x n matrix. They sweep row blocks of the two
 beta-powered distance kernels, recomputed from the points for each
 sweep (metric.distance_rows). d1 collects its three pairwise-form sums
 in one sweep (exact._d1_rows). The doubly centered estimator and dcor
-share a two-sweep contraction: the first sweep collects the row means,
-the second centers each block entrywise and sums the products. Memory
-is O(n * block) on top of the points; time is O(n^2 d) per sweep.
+share the two-sweep contraction exact._centered_rows: the first sweep
+collects the row sums, the second centers each block entrywise and
+sums the products. Memory is O(n * block) on top of the points; time
+is O(n^2 d) per sweep.
 """
 
 import numpy as np
 
-from .exact import DcovEstimate, _d1_rows
-from .metric import as_points, distance_rows, pairwise_distances, row_blocks
+from .exact import DcovEstimate, _centered_rows, _d1_rows
+from .metric import as_points, distance_rows, pairwise_distances
 
 
 class PairedSample:
@@ -69,41 +70,11 @@ class PairedSample:
         return PairedSample(self.y, self.x, self.y_spec, self.x_spec)
 
 
-def _require_n(sample, least=2):
-    if sample.n < least:
-        raise ValueError("need at least %d observations, got %d" % (least, sample.n))
-
-
-def _centered_sums(sample):
-    """Mean products (xy, xx, yy) of the doubly centered distance kernels.
-
-    The first sweep collects the row means of both kernels; the second
-    recomputes each row block, centers it by row, column and grand mean
-    and sums the entrywise products. Returns a length-3 array.
-    """
-    n = sample.n
-    blocks = row_blocks(n)
-    ra = np.empty(n)
-    rb = np.empty(n)
-    for lo, hi in blocks:
-        a, b = sample.rows(lo, hi)
-        ra[lo:hi] = a.mean(axis=1)
-        rb[lo:hi] = b.mean(axis=1)
-    ga = ra.mean()
-    gb = rb.mean()
-    sums = np.zeros(3)
-    for lo, hi in blocks:
-        a, b = sample.rows(lo, hi)
-        a -= ra[lo:hi, None]
-        a -= ra
-        a += ga
-        b -= rb[lo:hi, None]
-        b -= rb
-        b += gb
-        a = a.ravel()
-        b = b.ravel()
-        sums += (a @ b, a @ a, b @ b)
-    return sums / (float(n) * n)
+def _uniform_weights(sample):
+    """Weight 1/n per observation; refuses fewer than two observations."""
+    if sample.n < 2:
+        raise ValueError("need at least 2 observations, got %d" % sample.n)
+    return np.full(sample.n, 1.0 / sample.n)
 
 
 def dcov_plugin_d1(sample):
@@ -112,8 +83,7 @@ def dcov_plugin_d1(sample):
     With a_ij, b_ij the beta-powered distance matrices the value is
     (1/n^2) sum a_ij b_ij + (mean a)(mean b) - (2/n^3) sum_i (sum_j a_ij)(sum_k b_ik).
     """
-    _require_n(sample)
-    w = np.full(sample.n, 1.0 / sample.n)
+    w = _uniform_weights(sample)
     value = _d1_rows(sample.rows, w)
     return DcovEstimate(value=value, method="d1", beta=sample.beta, n=sample.n)
 
@@ -125,8 +95,8 @@ def dcov_centered(sample):
     mean, then averages the entrywise product. Algebraically equal to
     dcov_plugin_d1; numerically they agree within 1e-9.
     """
-    _require_n(sample)
-    value = float(_centered_sums(sample)[0])
+    w = _uniform_weights(sample)
+    value = float(_centered_rows(sample.rows, w)[0])
     return DcovEstimate(value=value, method="centered", beta=sample.beta,
                         n=sample.n)
 
@@ -138,8 +108,8 @@ def dcor(sample):
     dcov(y, y), all via the centered estimator and taken from one
     two-sweep contraction. Raises if either marginal is degenerate.
     """
-    _require_n(sample)
-    vxy, vxx, vyy = (float(v) for v in _centered_sums(sample))
+    w = _uniform_weights(sample)
+    vxy, vxx, vyy = (float(v) for v in _centered_rows(sample.rows, w))
     if vxx <= 0 or vyy <= 0:
         raise ValueError("degenerate marginal: dcov(x,x)=%g, dcov(y,y)=%g"
                          % (vxx, vyy))

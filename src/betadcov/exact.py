@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import (MetricSpec, as_points, euclidean, pairwise_distances,
-                     row_blocks)
+from .metric import as_points, euclidean, pairwise_distances, row_blocks
 
 #: default cap on support size for the O(k^4) quadruple sum
 D2_SUPPORT_CAP = 64
@@ -103,9 +102,7 @@ class DiscreteJoint:
 
 def hhat_eval(x1, x2, x3, x4, spec):
     """Alternating four-point sum a12 - a23 + a34 - a41 with a = d**beta."""
-    d = pairwise_distances([x1, x2, x3, x4] if spec.kind == "table"
-                           else np.stack([as_points([p], spec)[0]
-                                          for p in (x1, x2, x3, x4)]), spec)
+    d = pairwise_distances([x1, x2, x3, x4], spec)
     return d[0, 1] - d[1, 2] + d[2, 3] - d[3, 0]
 
 
@@ -115,17 +112,12 @@ def ttilde_eval(x1, x2, marginal_atoms, marginal_probs, spec):
     Returns d(x1,x2)^b - E d(x1,X)^b - E d(x2,X)^b + E d(X,X')^b with
     the expectations taken as exact sums over the marginal atoms.
     """
-    atoms = as_points(marginal_atoms, spec)
     p = np.asarray(marginal_probs, dtype=float)
     if p.size == 0:
         raise ValueError("empty marginal")
-    pair = as_points([x1, x2] if spec.kind == "table" else
-                     np.stack([as_points([q], spec)[0] for q in (x1, x2)]), spec)
-    if spec.kind == "euclidean":
-        stacked = np.concatenate([pair, atoms], axis=0)
-    else:
-        stacked = np.concatenate([pair, atoms])
-    d = pairwise_distances(stacked, spec)
+    d = pairwise_distances(np.concatenate([as_points([x1, x2], spec),
+                                           as_points(marginal_atoms, spec)]),
+                           spec)
     a12 = d[0, 1]
     row1 = d[0, 2:] @ p
     row2 = d[1, 2:] @ p
@@ -159,11 +151,37 @@ def _d1_contract(a, b, w):
     return _d1_rows(lambda lo, hi: (a[lo:hi], b[lo:hi]), w)
 
 
-def _centered_kernel(a, w):
-    """Doubly centered kernel matrix under atom weights w."""
-    aw = a @ w
-    grand = float(w @ aw)
-    return a - aw[:, None] - aw[None, :] + grand
+def _centered_rows(rows, w):
+    """Weighted products of doubly centered kernels over row blocks.
+
+    rows(lo, hi) returns rows lo:hi of two symmetric kernels a, b, as
+    arrays that may be overwritten. The first sweep collects the row
+    sums (a w)_i, (b w)_i; the second centers each block in place.
+    Returns sum_ij w_i w_j (ca cb, ca ca, cb cb)_ij.
+    """
+    blocks = row_blocks(w.size)
+    aw = np.empty(w.size)
+    bw = np.empty(w.size)
+    for lo, hi in blocks:
+        a, b = rows(lo, hi)
+        aw[lo:hi] = a @ w
+        bw[lo:hi] = b @ w
+    acol = aw - float(w @ aw)       # column terms (a w)_j - w'a w
+    bcol = bw - float(w @ bw)
+    sums = np.zeros(3)
+    for lo, hi in blocks:
+        a, b = rows(lo, hi)
+        a -= aw[lo:hi, None]
+        a -= acol
+        b -= bw[lo:hi, None]
+        b -= bcol
+        sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
+    return sums
+
+
+def _centered_contract(a, b, w):
+    """_centered_rows over row slices of a, b, copied so a, b stay intact."""
+    return _centered_rows(lambda i, j: (a[i:j].copy(), b[i:j].copy()), w)
 
 
 def _dcov_d2(a, b, w, cap):
@@ -196,9 +214,7 @@ def dcov_exact(joint, method="d1", d2_cap=D2_SUPPORT_CAP):
     elif method == "d2":
         value = _dcov_d2(a, b, w, d2_cap)
     elif method == "d3":
-        ta = _centered_kernel(a, w)
-        tb = _centered_kernel(b, w)
-        value = float(np.sum(w[:, None] * w[None, :] * ta * tb))
+        value = float(_centered_contract(a, b, w)[0])
     else:
         raise ValueError("unknown method %r" % method)
     return DcovEstimate(value=value, method=method,

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import dcov_centered
-from .exact import _centered_kernel, _d1_contract, dcov_exact
+from .exact import _centered_contract, _d1_contract, dcov_exact
 from .metric import as_points
+
+#: estimators consistency_sweep can evaluate on resampled weights
+SWEEP_METHODS = ("d1", "centered")
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,13 @@ class PermTestResult:
     seed: int
     beta: float
     n: int
+
+
+def _centered_kernel(a, w):
+    """Doubly centered kernel matrix under atom weights w."""
+    aw = a @ w
+    grand = float(w @ aw)
+    return a - aw[:, None] - aw[None, :] + grand
 
 
 def perm_test(sample, B=199, seed=None):
@@ -95,8 +104,8 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
         raise ValueError("empty sample-size schedule")
     if sorted(schedule) != schedule:
         raise ValueError("sample sizes must be increasing")
-    if method not in ("d1", "centered"):
-        raise ValueError("method must be d1 or centered")
+    if method not in SWEEP_METHODS:
+        raise ValueError("method must be %s" % " or ".join(SWEEP_METHODS))
     population = dcov_exact(joint, "d1").value
     a = joint.x_dist()
     b = joint.y_dist()
@@ -112,9 +121,7 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
             if method == "d1":
                 ests.append(_d1_contract(a, b, w))
             else:
-                ca = _centered_kernel(a, w)
-                cb = _centered_kernel(b, w)
-                ests.append(float(np.sum(w[:, None] * w[None, :] * ca * cb)))
+                ests.append(float(_centered_contract(a, b, w)[0]))
         ests = np.asarray(ests)
         rows.append((n, float(np.median(ests)),
                      float(np.median(np.abs(ests - population)))))

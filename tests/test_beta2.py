@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from betadcov import (DiscreteJoint, PairedSample, cross_cov, dcov2_closed,
                       dcov_centered, dcov_exact, euclidean, hhat_eval, table,
@@ -39,6 +42,20 @@ def test_closed_form_matches_centered(rng):
         sample = make_sample(x, y)
         assert abs(dcov2_closed(sample).value
                    - dcov_centered(sample).value) <= 1e-10
+
+
+@given(arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
+              elements=st.integers(-80, 80).map(lambda k: k / 8.0)),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_property_closed_form_equals_centered(x, q, seed):
+    noise = np.random.default_rng(seed).normal(size=(len(x), q))
+    sample = make_sample(x, x[:, :1] + noise)
+    vxx = dcov_centered(make_sample(x, x)).value
+    vyy = dcov_centered(make_sample(sample.y, sample.y)).value
+    # Cauchy-Schwarz: |sum ca cb| <= sqrt(sum ca^2 sum cb^2)
+    scale = np.sqrt(abs(vxx * vyy)) + 1e-300
+    assert abs(dcov2_closed(sample).value
+               - dcov_centered(sample).value) <= 1e-10 * scale
 
 
 def test_two_atom_symmetric_law():

@@ -1,3 +1,4 @@
+import argparse
 import importlib.resources
 import json
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from betadcov import cli
 from betadcov.cli import main
+from betadcov.inference import SWEEP_METHODS
 from betadcov.io import load_csv
 
 SCHEMA = json.loads(importlib.resources.files("betadcov")
@@ -115,7 +117,21 @@ class TestDcov:
         assert rc == 3
         assert out == ""
         assert err == ("error: outer-cutoff extrapolation unreliable; "
-                       "raise tmax\n")
+                       "multiply the data by c > 1 (as raising tmax by c), "
+                       "then divide the value by c^(2 beta)\n")
+
+    def test_charfn_rescaled_data_passes(self, tmp_path):
+        # the joint of the test above times 1000; its exact value at
+        # beta = 1 is 0.25, so the unscaled one is 0.25 / 1000^2
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text("x1,y1,prob\n0,0,0.5\n1,1,0.5\n")
+        rc, out, err = run_cli(["dcov", "--input", str(scaled),
+                                "--x-cols", "x1", "--y-cols", "y1",
+                                "--beta", "1", "--method", "charfn",
+                                "--prob-col", "prob"])
+        assert rc == 0, err
+        report = check_schema(out)
+        assert abs(report["value"] - 0.25) <= report["error_estimate"]
 
     def test_beta2_requires_beta_two(self, sample_csv):
         rc, _, _ = run_cli(["dcov", "--input", sample_csv,
@@ -248,10 +264,12 @@ class TestOtherSubcommands:
         rc, out, _ = run_cli(["converge", "--input", joint_csv,
                               "--x-cols", "x1", "--y-cols", "y1",
                               "--beta", "1", "--prob-col", "prob",
-                              "--n-schedule", "100", "--seeds", "1",
+                              "--n-schedule", "100", "--seeds", "1,2,3",
                               "--format", "json"])
         assert rc == 0
-        check_schema(out)
+        report = check_schema(out)
+        assert report["seeds"] == [1, 2, 3]
+        assert "seed" not in report
 
     def test_diag(self, sample_csv):
         rc, out, _ = run_cli(["diag", "--input", sample_csv,
@@ -284,6 +302,20 @@ class TestOtherSubcommands:
         report = check_schema(out)
         assert all(c["passed"] for c in report["checks"])
         assert "PASS" in err
+
+
+def _method_choices(subcommand):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[subcommand]._actions
+                if "--method" in a.option_strings)
+
+
+def test_method_registry_is_the_only_list():
+    assert (set(SCHEMA["properties"]["method"]["enum"])
+            == set(_method_choices("dcov")) == set(cli.METHODS))
+    assert set(_method_choices("converge")) == set(SWEEP_METHODS)
 
 
 def strip_wall_time(raw):

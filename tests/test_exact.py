@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from betadcov import (DiscreteJoint, dcov_exact, euclidean, hhat_eval,
-                      projection_demo, ttilde_eval)
+from betadcov import (DiscreteJoint, consistency_sweep, dcov_exact, euclidean,
+                      hhat_eval, projection_demo, ttilde_eval)
 from conftest import random_joint, random_table_joint
 
 SP1 = euclidean(1, 1.0)
@@ -144,3 +147,40 @@ def test_projection_demo():
     # both values are eighths for this Bernoulli construction
     assert dc_projected == pytest.approx(0.25, abs=1e-12)
     assert dc_full == pytest.approx(0.125, abs=1e-12)
+
+
+@st.composite
+def _weighted_joints(draw):
+    """2-16 atoms in 1-3 dimensions, weights spread over three decades."""
+    k = draw(st.integers(2, 16))
+    dx = draw(st.integers(1, 3))
+    dy = draw(st.integers(1, 3))
+    coords = st.floats(-4.0, 4.0)
+    xa = draw(arrays(np.float64, (k, dx), elements=coords))
+    ya = draw(arrays(np.float64, (k, dy), elements=coords))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k,
+                               max_size=k)))
+    beta = draw(st.floats(0.2, 3.0))
+    return DiscreteJoint(xa, ya, w / w.sum(), euclidean(dx, beta),
+                         euclidean(dy, beta))
+
+
+@given(_weighted_joints())
+def test_property_d3_equals_d1_nonuniform(joint):
+    a, b, w = joint.x_dist(), joint.y_dist(), joint.probs
+    aw, bw = a @ w, b @ w
+    # the three pairwise-form terms bound the rounding of both forms
+    scale = (abs(w @ (a * b) @ w) + abs((w @ aw) * (w @ bw))
+             + 2.0 * abs(np.sum(w * aw * bw)) + 1e-300)
+    d1 = dcov_exact(joint, "d1").value
+    assert abs(dcov_exact(joint, "d3").value - d1) <= 1e-10 * scale
+
+
+def test_centered_routes_leave_cached_distances_untouched(rng):
+    # the centered contraction reads row views of the cached matrices
+    joint = random_joint(rng, support=6, dim_x=2, dim_y=2)
+    before = joint.x_dist().tobytes(), joint.y_dist().tobytes()
+    first = dcov_exact(joint, "d3").value
+    consistency_sweep(joint, [3, 40], seeds=[1, 2], method="centered")
+    assert (joint.x_dist().tobytes(), joint.y_dist().tobytes()) == before
+    assert dcov_exact(joint, "d3").value == first

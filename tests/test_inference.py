@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from betadcov import (DiscreteJoint, MomentFlags, PairedSample,
                       consistency_sweep, dcov_exact, euclidean, perm_test,
                       regime_classify, tail_diagnostic)
 from betadcov.inference import (FINITE, PLUS_INF, TTILDE_UNDEFINED, UNDEFINED,
                                 UNKNOWN)
+from conftest import random_joint
 
 SP1 = euclidean(1, 1.0)
 
@@ -105,6 +108,23 @@ class TestConsistencySweep:
         t2 = consistency_sweep(bernoulli_joint, [500], seeds=[5],
                                method="centered")
         assert t1.rows[0][1] == pytest.approx(t2.rows[0][1], abs=1e-12)
+
+    @given(st.integers(3, 10), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.5, 1.0, 1.5]))
+    def test_property_centered_equals_d1_with_zero_weights(self, k, seed,
+                                                           beta):
+        joint = random_joint(np.random.default_rng(seed), support=k,
+                             beta=beta)
+        # fewer draws than atoms, so every replicate leaves atoms with
+        # zero weight; one seed per sweep makes each median one replicate
+        schedule = list(range(1, k))
+        d1 = consistency_sweep(joint, schedule, [seed], method="d1")
+        centered = consistency_sweep(joint, schedule, [seed],
+                                     method="centered")
+        # the weights sum to 1, so max a * max b bounds every term
+        scale = joint.x_dist().max() * joint.y_dist().max() + 1e-300
+        for row_d1, row_c in zip(d1.rows, centered.rows):
+            assert abs(row_c[1] - row_d1[1]) <= 1e-10 * scale
 
     def test_validation(self, bernoulli_joint):
         with pytest.raises(ValueError):
