@@ -65,7 +65,8 @@ class QuadConfig:
         if not 0 < self.eps < self.tmax:
             raise ValueError("need 0 < eps < tmax")
         if self.panels_per_decade < 1 or self.points_per_panel < 2:
-            raise ValueError("bad panel configuration")
+            raise ValueError("need panels_per_decade >= 1 and "
+                             "points_per_panel >= 2")
 
 
 #: hard cap on quadrature nodes per axis
@@ -81,21 +82,22 @@ def log_panel_grid(q, freq=0.0):
     Returns (nodes, weights), nodes ascending.
     """
     gx, gw = np.polynomial.legendre.leggauss(q.points_per_panel)
-    edges = [q.eps]
+    edges = [np.array([q.eps])]
+    panels = 0
     lo = q.eps
     while lo < q.tmax * (1 - 1e-12):
         hi = min(lo * 10.0, q.tmax)
         n_panels = max(q.panels_per_decade,
                        int(math.ceil((hi - lo) * freq / (4.0 * math.pi))))
-        n_nodes = (len(edges) - 1 + n_panels) * q.points_per_panel
-        if n_nodes > MAX_NODES:
+        panels += n_panels
+        if panels * q.points_per_panel > MAX_NODES:
             raise QuadratureError(
                 "quadrature grid would need at least %d nodes; rescale the "
-                "data or lower tmax" % n_nodes)
+                "data or lower tmax" % (panels * q.points_per_panel))
         step = (hi - lo) / n_panels
-        edges.extend(lo + step * np.arange(1, n_panels + 1))
+        edges.append(lo + step * np.arange(1, n_panels + 1))
         lo = hi
-    edges = np.asarray(edges)
+    edges = np.concatenate(edges)
     a = edges[:-1]
     b = edges[1:]
     half = 0.5 * (b - a)

@@ -88,7 +88,8 @@ def _beta2(sample, args):
 def _charrv(sample, args):
     if args.seed is None:
         raise ValueError("--seed is required for method charrv")
-    return dcov_charrv_mc(sample, draws=args.draws, seed=args.seed)
+    draws = 2000 if args.draws is None else args.draws
+    return dcov_charrv_mc(sample, draws=draws, seed=args.seed)
 
 
 def _hm(sample, args):
@@ -101,33 +102,46 @@ def _hm(sample, args):
 
 def _charfn(joint, args):
     quad = None
-    if args.grid_panels:
+    if args.grid_panels is not None:
         quad = QuadConfig(panels_per_decade=args.grid_panels)
     return dcov_charfn_1d(joint, q=quad)
 
 
-#: dcov methods: name -> (input kind, builder(input, args)). A "sample"
-#: input is a PairedSample, a "joint" input a DiscreteJoint weighted by
-#: --prob-col. Builders look the library functions up when called.
+#: dcov methods: name -> (input kind, options read, builder(input,
+#: args)). A "sample" input is a PairedSample, a "joint" input a
+#: DiscreteJoint weighted by --prob-col. A method refuses every method
+#: option it does not read. Builders look the library functions up when
+#: called.
 METHODS = {
-    "d1": ("sample", lambda sample, args: dcov_plugin_d1(sample)),
-    "centered": ("sample", lambda sample, args: dcov_centered(sample)),
-    "beta2": ("sample", _beta2),
-    "charrv": ("sample", _charrv),
-    "hm": ("sample", _hm),
-    "exact": ("joint", lambda joint, args: dcov_exact(joint, "d1")),
-    "charfn": ("joint", _charfn),
+    "d1": ("sample", (), lambda sample, args: dcov_plugin_d1(sample)),
+    "centered": ("sample", (), lambda sample, args: dcov_centered(sample)),
+    "beta2": ("sample", (), _beta2),
+    "charrv": ("sample", ("seed", "draws"), _charrv),
+    "hm": ("sample", ("trunc_m",), _hm),
+    "exact": ("joint", ("prob_col",),
+              lambda joint, args: dcov_exact(joint, "d1")),
+    "charfn": ("joint", ("prob_col", "grid_panels"), _charfn),
 }
+
+
+def _check_options(args):
+    """Refuse the first given dcov option that the method does not read."""
+    reads = METHODS[args.method][1]
+    options = sorted({opt for _, opts, _ in METHODS.values() for opt in opts})
+    for opt in options:
+        if getattr(args, opt) is not None and opt not in reads:
+            users = [name for name, (_, opts, _) in METHODS.items()
+                     if opt in opts]
+            raise ValueError("--%s applies only to method%s %s"
+                             % (opt.replace("_", "-"),
+                                "s" if len(users) > 1 else "",
+                                " and ".join(users)))
 
 
 def _cmd_dcov(args):
     start = time.perf_counter()
-    kind, build = METHODS[args.method]
-    if args.prob_col and kind != "joint":
-        joint_methods = [name for name, (k, _) in METHODS.items()
-                         if k == "joint"]
-        raise ValueError("--prob-col applies only to methods %s"
-                         % " and ".join(joint_methods))
+    _check_options(args)
+    kind, _, build = METHODS[args.method]
     est = build(_load_input(args, kind), args)
     report = {"subcommand": "dcov", "method": args.method, "beta": args.beta,
               "seed": args.seed, "value": est.value, "n": est.n,
@@ -272,9 +286,10 @@ def build_parser():
     p = sub.add_parser("dcov", help="distance covariance of a paired sample")
     _sample_args(p)
     p.add_argument("--method", required=True, choices=list(METHODS))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--draws", type=int, default=2000,
-                   help="Monte Carlo draws for method charrv")
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed for method charrv")
+    p.add_argument("--draws", type=int, default=None,
+                   help="Monte Carlo draws for method charrv (default 2000)")
     p.add_argument("--trunc-m", type=float, default=None,
                    help="truncation level M for method hm")
     p.add_argument("--grid-panels", type=int, default=None,

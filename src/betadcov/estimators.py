@@ -8,25 +8,25 @@ None of them builds an n x n matrix. They sweep row blocks of the two
 beta-powered distance kernels, recomputed from the points for each
 sweep (metric.distance_rows). d1 collects its three pairwise-form sums
 in one sweep (exact._d1_rows). The doubly centered estimator and dcor
-share the two-sweep contraction exact._centered_rows: the first sweep
-collects the row sums, the second centers each block entrywise and
-sums the products. Memory is O(n * block) on top of the points; time
-is O(n^2 d) per sweep.
+share the two-sweep centering exact._centered_rows, summed by
+exact._centered_products: the first sweep collects the row sums, the
+second centers each block entrywise and sums the products. Memory is
+O(n * block) on top of the points; time is O(n^2 d) per sweep.
 """
 
 import numpy as np
 
-from .exact import DcovEstimate, _centered_rows, _d1_rows
+from .exact import DcovEstimate, _centered_products, _d1_rows
 from .metric import as_points, distance_rows, pairwise_distances
 
 
 class PairedSample:
     """n paired observations with one metric spec per side.
 
-    The estimators read row blocks of the distance kernels (rows). The
+    The estimators and the permutation test read row blocks of the
+    distance kernels (rows, or metric.distance_rows on x and y). The
     full distance matrices are built only on request (x_dist, y_dist)
-    and cached, for callers that reuse them, such as the permutation
-    test.
+    and cached; no route of the package calls them.
     """
 
     def __init__(self, x_points, y_points, x_spec, y_spec):
@@ -96,7 +96,7 @@ def dcov_centered(sample):
     dcov_plugin_d1; numerically they agree within 1e-9.
     """
     w = _uniform_weights(sample)
-    value = float(_centered_rows(sample.rows, w)[0])
+    value = float(_centered_products(sample.rows, w)[0])
     return DcovEstimate(value=value, method="centered", beta=sample.beta,
                         n=sample.n)
 
@@ -109,7 +109,7 @@ def dcor(sample):
     two-sweep contraction. Raises if either marginal is degenerate.
     """
     w = _uniform_weights(sample)
-    vxy, vxx, vyy = (float(v) for v in _centered_rows(sample.rows, w))
+    vxy, vxx, vyy = (float(v) for v in _centered_products(sample.rows, w))
     if vxx <= 0 or vyy <= 0:
         raise ValueError("degenerate marginal: dcov(x,x)=%g, dcov(y,y)=%g"
                          % (vxx, vyy))

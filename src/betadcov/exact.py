@@ -152,36 +152,36 @@ def _d1_contract(a, b, w):
 
 
 def _centered_rows(rows, w):
-    """Weighted products of doubly centered kernels over row blocks.
+    """Doubly centered row blocks of symmetric kernels under weights w.
 
-    rows(lo, hi) returns rows lo:hi of two symmetric kernels a, b, as
+    rows(lo, hi) returns a tuple of rows lo:hi of symmetric kernels, as
     arrays that may be overwritten. The first sweep collects the row
-    sums (a w)_i, (b w)_i; the second centers each block in place.
-    Returns sum_ij w_i w_j (ca cb, ca ca, cb cb)_ij.
+    sums (k w)_i of each kernel; the second centers each block in place
+    to k_ij - (k w)_i - (k w)_j + w'k w and yields (lo, hi, blocks).
     """
     blocks = row_blocks(w.size)
-    aw = np.empty(w.size)
-    bw = np.empty(w.size)
+    per_block = [[k @ w for k in rows(lo, hi)] for lo, hi in blocks]
+    kw = [np.concatenate(parts) for parts in zip(*per_block)]
+    col = [r - float(w @ r) for r in kw]    # column terms (k w)_j - w'k w
     for lo, hi in blocks:
-        a, b = rows(lo, hi)
-        aw[lo:hi] = a @ w
-        bw[lo:hi] = b @ w
-    acol = aw - float(w @ aw)       # column terms (a w)_j - w'a w
-    bcol = bw - float(w @ bw)
+        ks = rows(lo, hi)
+        for k, r, c in zip(ks, kw, col):
+            k -= r[lo:hi, None]
+            k -= c
+        yield lo, hi, ks
+
+
+def _centered_products(rows, w):
+    """sum_ij w_i w_j (ca cb, ca ca, cb cb)_ij of the kernels rows(lo, hi)."""
     sums = np.zeros(3)
-    for lo, hi in blocks:
-        a, b = rows(lo, hi)
-        a -= aw[lo:hi, None]
-        a -= acol
-        b -= bw[lo:hi, None]
-        b -= bcol
+    for lo, hi, (a, b) in _centered_rows(rows, w):
         sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
     return sums
 
 
 def _centered_contract(a, b, w):
-    """_centered_rows over row slices of a, b, copied so a, b stay intact."""
-    return _centered_rows(lambda i, j: (a[i:j].copy(), b[i:j].copy()), w)
+    """_centered_products over row slices of a, b, copied to keep a, b."""
+    return _centered_products(lambda i, j: (a[i:j].copy(), b[i:j].copy()), w)
 
 
 def _dcov_d2(a, b, w, cap):

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import _centered_contract, _d1_contract, dcov_exact
-from .metric import as_points
+from .exact import (_centered_contract, _centered_rows, _d1_contract,
+                    dcov_exact)
+from .metric import as_points, distance_rows, pairwise_distances, row_blocks
 
 #: estimators consistency_sweep can evaluate on resampled weights
 SWEEP_METHODS = ("d1", "centered")
@@ -31,23 +32,24 @@ class PermTestResult:
     n: int
 
 
-def _centered_kernel(a, w):
-    """Doubly centered kernel matrix under atom weights w."""
-    aw = a @ w
-    grand = float(w @ aw)
-    return a - aw[:, None] - aw[None, :] + grand
-
-
 def perm_test(sample, B=199, seed=None):
     """Permutation independence test on the centered plug-in statistic.
 
     The y rows are relabeled uniformly B times; the p-value uses the
     add-one convention (1 + #{permuted >= observed}) / (B + 1), so it
-    is never exactly zero. The x distance matrix is centered once and
-    reused across permutations. The test holds four dense n x n float64
-    matrices (both distance matrices and their centered copies); a
-    sample for which they would exceed physical memory is refused
-    before anything is allocated.
+    is never exactly zero. A permuted statistic counts as exceeding when
+    it is at least the observed one minus 1e-12 sqrt(sum ca^2 sum cb^2),
+    the Cauchy-Schwarz bound on both, so statistics that tie in exact
+    arithmetic (as on lattice data) count whatever their rounding.
+
+    The doubly centered y kernel cb is the one n x n array: it is built
+    once and centered in place. The x kernel is swept in row blocks,
+    each centered from the points, and each block is contracted with the
+    matching rows of cb and, for every permutation p, of cb[p][:, p],
+    gathered into one reused block buffer. The permutations are drawn up
+    front, so the test holds about 8 n^2 + 8 B n bytes; a sample for
+    which that exceeds physical memory is refused before anything is
+    allocated.
     """
     if sample.n < 4:
         raise ValueError("need at least 4 observations")
@@ -56,28 +58,45 @@ def perm_test(sample, B=199, seed=None):
     if seed is None:
         raise ValueError("seed is required (no silent nondeterminism)")
     n = sample.n
-    need = 4 * 8 * n * n
+    need = 8 * n * n + 8 * B * n
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > phys:
         raise ValueError(
-            "permutation test at n=%d needs about %d bytes (%.1f GB) for "
-            "four n x n matrices, more than the %.1f GB of physical memory"
-            % (n, need, need / 1e9, phys / 1e9))
+            "permutation test at n=%d, B=%d needs about %d bytes (%.1f GB) "
+            "for one n x n matrix and the permutations, more than the "
+            "%.1f GB of physical memory"
+            % (n, B, need, need / 1e9, phys / 1e9))
     w = np.full(n, 1.0 / n)
-    ca = _centered_kernel(sample.x_dist(), w)
-    cb = _centered_kernel(sample.y_dist(), w)
-    scale = 1.0 / (n * n)
-    observed = float(np.sum(ca * cb)) * scale
+    cb = pairwise_distances(sample.y, sample.y_spec)
+    for _ in _centered_rows(lambda lo, hi: (cb[lo:hi],), w):
+        pass                                # centers cb in place
     rng = np.random.default_rng(seed)
-    exceed = 0
-    for _ in range(B):
-        perm = rng.permutation(n)
-        stat = float(np.sum(ca * cb[np.ix_(perm, perm)])) * scale
-        if stat >= observed:
-            exceed += 1
+    perms = np.empty((B, n), dtype=np.intp)
+    for perm in perms:
+        perm[:] = rng.permutation(n)
+    rows = row_blocks(n)[0][1]              # rows in the largest block
+    picked = np.empty((rows, n))
+    buf = np.empty((rows, n))
+    observed = ssa = 0.0
+    stats = np.zeros(B)
+
+    def x_rows(lo, hi):
+        return (distance_rows(sample.x, sample.x_spec, lo, hi),)
+
+    for lo, hi, (ca,) in _centered_rows(x_rows, w):
+        observed += np.vdot(ca, cb[lo:hi])
+        ssa += np.vdot(ca, ca)
+        rp, bp = picked[:hi - lo], buf[:hi - lo]
+        for b, perm in enumerate(perms):
+            # mode="clip" lets take write into out without a temporary
+            np.take(cb, perm[lo:hi], axis=0, out=rp, mode="clip")
+            np.take(rp, perm, axis=1, out=bp, mode="clip")
+            stats[b] += np.vdot(ca, bp)
+    tol = 1e-12 * np.sqrt(ssa * np.vdot(cb, cb))
+    exceed = int(np.count_nonzero(stats >= observed - tol))
     p = (1 + exceed) / (B + 1)
-    return PermTestResult(observed=observed, p_value=p, B=B, seed=seed,
-                          beta=sample.beta, n=n)
+    return PermTestResult(observed=float(observed) / (n * n), p_value=p,
+                          B=B, seed=seed, beta=sample.beta, n=n)
 
 
 @dataclass(frozen=True)

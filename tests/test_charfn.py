@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,55 @@ def test_node_cap_refuses_before_building():
     nodes, _ = log_panel_grid(QuadConfig(), freq=0.0)
     assert nodes.size < MAX_NODES
     assert issubclass(QuadratureError, RuntimeError)
+
+
+def _listed_log_panel_grid(q, freq=0.0):
+    """Verbatim copy of log_panel_grid when it listed its edges."""
+    gx, gw = np.polynomial.legendre.leggauss(q.points_per_panel)
+    edges = [q.eps]
+    lo = q.eps
+    while lo < q.tmax * (1 - 1e-12):
+        hi = min(lo * 10.0, q.tmax)
+        n_panels = max(q.panels_per_decade,
+                       int(math.ceil((hi - lo) * freq / (4.0 * math.pi))))
+        n_nodes = (len(edges) - 1 + n_panels) * q.points_per_panel
+        if n_nodes > MAX_NODES:
+            raise QuadratureError(
+                "quadrature grid would need at least %d nodes; rescale the "
+                "data or lower tmax" % n_nodes)
+        step = (hi - lo) / n_panels
+        edges.extend(lo + step * np.arange(1, n_panels + 1))
+        lo = hi
+    edges = np.asarray(edges)
+    a = edges[:-1]
+    b = edges[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    weights = (half[:, None] * gw[None, :]).ravel()
+    return nodes, weights
+
+
+# the atom spans of the benchmark's charfn joints are exactly 2 and 2.5;
+# at 300 the default grid fills 96% of the node cap
+@pytest.mark.parametrize("freq", [0.0, 2.0, 2.5, 37.3, 300.0])
+@pytest.mark.parametrize("q", [
+    QuadConfig(), QuadConfig(eps=1e-5, tmax=1e2, panels_per_decade=6,
+                             points_per_panel=12),
+    QuadConfig(eps=3e-4, tmax=7.0, panels_per_decade=1, points_per_panel=2)])
+def test_panel_grid_matches_listed_edges(q, freq):
+    nodes, weights = log_panel_grid(q, freq)
+    ref_nodes, ref_weights = _listed_log_panel_grid(q, freq)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+
+
+@pytest.mark.parametrize("freq", [320.0, 1e12])
+def test_panel_grid_cap_matches_listed_edges(freq):
+    with pytest.raises(QuadratureError) as ref:
+        _listed_log_panel_grid(QuadConfig(), freq)
+    with pytest.raises(QuadratureError, match=str(ref.value)):
+        log_panel_grid(QuadConfig(), freq)
 
 
 def test_unreliable_tail_raises():

@@ -192,7 +192,9 @@ class TestUsageErrors:
     def test_perm_test_beyond_memory_is_one_line(self, tmp_path):
         import os
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        n = int(np.sqrt(phys / 32)) + 2
+        B = 199
+        # one n x n float64 matrix plus B int64 permutations of n
+        n = int(np.sqrt(phys / 8)) + 2
         path = tmp_path / "big.csv"
         path.write_text("x1,y1\n" + "".join("%d,%d\n" % (i, n - i)
                                              for i in range(n)))
@@ -201,8 +203,8 @@ class TestUsageErrors:
                                 "--seed", "1"])
         assert rc == 2
         assert out == ""
-        assert err.startswith("error: permutation test at n=%d needs about "
-                              "%d bytes" % (n, 32 * n * n))
+        assert err.startswith("error: permutation test at n=%d, B=%d needs "
+                              "about %d bytes" % (n, B, 8 * n * (n + B)))
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("method",
@@ -217,6 +219,60 @@ class TestUsageErrors:
         assert out == ""
         assert err == ("error: --prob-col applies only to methods exact "
                        "and charfn\n")
+
+
+#: a value for every dcov method option
+_OPTION_VALUES = {"seed": "1", "draws": "5", "trunc_m": "3",
+                  "grid_panels": "4", "prob_col": "prob"}
+
+
+@pytest.mark.parametrize("method,option", [
+    (method, option) for method, (_, reads, _) in cli.METHODS.items()
+    for option in _OPTION_VALUES if option not in reads])
+def test_unread_method_option_is_refused(joint_csv, capsys, method, option):
+    flag = "--" + option.replace("_", "-")
+    rc = main(["dcov", "--input", joint_csv, "--x-cols", "x1", "--y-cols",
+               "y1", "--beta", "1", "--method", method, flag,
+               _OPTION_VALUES[option]])
+    out, err = capsys.readouterr()
+    readers = [name for name, (_, reads, _) in cli.METHODS.items()
+               if option in reads]
+    assert rc == 2
+    assert out == ""
+    assert err == "error: %s applies only to method%s %s\n" % (
+        flag, "s" if len(readers) > 1 else "", " and ".join(readers))
+
+
+def test_every_method_option_has_a_reader():
+    read = {opt for _, reads, _ in cli.METHODS.values() for opt in reads}
+    assert read == set(_OPTION_VALUES)
+
+
+def test_charfn_grid_panels_zero_is_refused(joint_csv, capsys):
+    rc = main(["dcov", "--input", joint_csv, "--x-cols", "x1", "--y-cols",
+               "y1", "--beta", "1", "--method", "charfn", "--prob-col",
+               "prob", "--grid-panels", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,draws", [([], 2000), (["--draws", "7"], 7)])
+def test_charrv_draws_default(sample_csv, monkeypatch, capsys, argv, draws):
+    seen = []
+
+    def fake(sample, draws, seed):
+        seen.append(draws)
+        return cli.dcov_plugin_d1(sample)
+
+    monkeypatch.setattr(cli, "dcov_charrv_mc", fake)
+    rc = main(["dcov", "--input", sample_csv, "--x-cols", "x1", "--y-cols",
+               "y1", "--beta", "1", "--method", "charrv", "--seed", "3"]
+              + argv)
+    capsys.readouterr()
+    assert rc == 0
+    assert seen == [draws]
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from betadcov import (DiscreteJoint, MomentFlags, PairedSample,
-                      consistency_sweep, dcov_exact, euclidean, perm_test,
+                      consistency_sweep, dcov_centered, euclidean, perm_test,
                       regime_classify, tail_diagnostic)
 from betadcov.inference import (FINITE, PLUS_INF, TTILDE_UNDEFINED, UNDEFINED,
                                 UNKNOWN)
@@ -74,19 +74,139 @@ class TestPermTest:
 
     def test_refuses_beyond_physical_memory_before_allocating(self):
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        # the smallest n whose four n x n float64 matrices exceed memory
-        n = math.isqrt(phys // 32) + 1
+        B = 19
+        # the smallest n whose one n x n float64 matrix and B int64
+        # permutations of n exceed memory
+        n = math.isqrt(phys // 8) - B
+        while 8 * n * (n + B) <= phys:
+            n += 1
         x = np.linspace(0.0, 1.0, n)
         sample = make_sample(x, x[::-1])
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"needs about %d bytes"
-                               % (32 * n * n)):
-                perm_test(sample, B=19, seed=1)
+            with pytest.raises(ValueError, match=r"at n=%d, B=%d needs about "
+                               r"%d bytes" % (n, B, 8 * n * (n + B))):
+                perm_test(sample, B=B, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_refuses_permutations_beyond_physical_memory(self):
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n = 100
+        B = phys // (8 * n)
+        x = np.linspace(0.0, 1.0, n)
+        with pytest.raises(ValueError, match="and the permutations"):
+            perm_test(make_sample(x, x[::-1]), B=B, seed=1)
+
+    def test_holds_one_matrix(self, rng):
+        n = 3000
+        x = rng.normal(size=(n, 3))
+        y = x[:, :2] + rng.normal(size=(n, 2))
+        sample = PairedSample(x, y, euclidean(3, 1.0), euclidean(2, 1.0))
+        tracemalloc.start()
+        try:
+            perm_test(sample, B=19, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the centered y kernel is 72 MB; four dense matrices were 288 MB
+        assert peak < 80e6
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+    def test_homogeneous_in_scale(self, rng, beta):
+        x = rng.normal(size=(60, 2))
+        y = x[:, :1] + rng.normal(size=(60, 1))
+        spx, spy = euclidean(2, beta), euclidean(1, beta)
+        base = perm_test(PairedSample(x, y, spx, spy), B=99, seed=6)
+        for c in (0.25, 4.0):
+            scaled = perm_test(PairedSample(c * x, y, spx, spy), B=99, seed=6)
+            assert scaled.observed == pytest.approx(
+                c ** beta * base.observed, rel=1e-13)
+            assert scaled.p_value == base.p_value
+
+
+def _dense_perm_test(sample, B, seed):
+    """The perm_test that held four n x n matrices, verbatim from its
+    centering on; returns (observed, p_value)."""
+    n = sample.n
+    w = np.full(n, 1.0 / n)
+
+    def _centered_kernel(a, w):
+        aw = a @ w
+        grand = float(w @ aw)
+        return a - aw[:, None] - aw[None, :] + grand
+
+    ca = _centered_kernel(sample.x_dist(), w)
+    cb = _centered_kernel(sample.y_dist(), w)
+    scale = 1.0 / (n * n)
+    observed = float(np.sum(ca * cb)) * scale
+    rng = np.random.default_rng(seed)
+    exceed = 0
+    for _ in range(B):
+        perm = rng.permutation(n)
+        stat = float(np.sum(ca * cb[np.ix_(perm, perm)])) * scale
+        if stat >= observed:
+            exceed += 1
+    return observed, (1 + exceed) / (B + 1)
+
+
+def _exact_lattice_p_value(x, y, B, seed):
+    """Permutation p-value of 0/1 data, counted in integers.
+
+    With a, b the 0/1 kernels, row sums ra, rb and totals Sa, Sb, n^4
+    times the statistic of relabeling p is the integer n^2 sum a_ij
+    b_p(i)p(j) - 2n sum_i ra_i rb_p(i) + Sa Sb.
+    """
+    n = len(x)
+    a = (x[:, None] != x[None, :]).astype(np.int64)
+    b = (y[:, None] != y[None, :]).astype(np.int64)
+    ra, rb = a.sum(axis=1), b.sum(axis=1)
+
+    def stat(p):
+        return (n * n * int(np.sum(a * b[np.ix_(p, p)]))
+                - 2 * n * int(ra @ rb[p]) + int(ra.sum()) * int(rb.sum()))
+
+    observed = stat(np.arange(n))
+    rng = np.random.default_rng(seed)
+    exceed = sum(stat(rng.permutation(n)) >= observed for _ in range(B))
+    return (1 + exceed) / (B + 1)
+
+
+class TestPermTestAgainstDense:
+    @pytest.mark.parametrize("n,B,dependent,betas", [
+        (4, 199, False, (0.5, 1.0, 1.5)), (4, 199, True, (0.5, 1.0, 1.5)),
+        (17, 199, False, (0.5, 1.0, 1.5)), (17, 199, True, (0.5, 1.0, 1.5)),
+        (700, 199, True, (1.0,)), (700, 199, False, (0.5,)),
+        (3000, 19, False, (1.0,))])
+    def test_continuous_p_values_identical(self, n, B, dependent, betas):
+        rng = np.random.default_rng([n, dependent])
+        x = rng.normal(size=(n, 3))
+        y = rng.normal(size=(n, 2)) + (x[:, :2] if dependent else 0.0)
+        for beta in betas:
+            sample = PairedSample(x, y, euclidean(3, beta),
+                                  euclidean(2, beta))
+            res = perm_test(sample, B=B, seed=n + 1)
+            observed, p = _dense_perm_test(sample, B=B, seed=n + 1)
+            assert res.p_value == p
+            assert res.observed == pytest.approx(observed, rel=1e-14)
+            assert res.observed == pytest.approx(
+                dcov_centered(sample).value, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 17, 40, 120, 300])
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_lattice_p_values_count_ties_exactly(self, n, beta):
+        sp = euclidean(1, beta)
+        for run in range(6):
+            rng = np.random.default_rng([n, run])
+            x = rng.integers(0, 2, size=n).astype(float)
+            # flip a share of the labels: from independent to identical y
+            flip = rng.random(n) < (0.5, 0.3, 0.1)[run % 3]
+            y = np.where(flip, 1.0 - x, x)
+            res = perm_test(PairedSample(x[:, None], y[:, None], sp, sp),
+                            B=99, seed=run)
+            assert res.p_value == _exact_lattice_p_value(x, y, 99, run)
 
 
 class TestConsistencySweep:
