@@ -11,13 +11,13 @@ diagnostics for heavy-tailed inputs.
 __version__ = "0.1.0"
 
 from .beta2 import cross_cov, dcov2_closed
-from .charfn import (DomainError, QuadConfig, QuadratureError, c_const,
-                     dcov_charfn_1d, scale_const)
+from .charfn import (QuadConfig, QuadratureError, c_const, dcov_charfn_1d,
+                     scale_const)
 from .charrv import (char_rv, dcov_charrv_mc, dcov_hm, h_trunc,
                      mean_sq_char_gap, mean_sq_char_gap_mc)
 from .estimators import PairedSample, dcor, dcov_centered, dcov_plugin_d1
-from .exact import (DcovEstimate, DiscreteJoint, dcov_exact, hhat_eval,
-                    projection_demo, ttilde_eval)
+from .exact import (DcovEstimate, DiscreteJoint, DomainError, dcov_exact,
+                    hhat_eval, projection_demo, ttilde_eval)
 from .inference import (ConsistencyTrace, MomentFlags, PermTestResult,
                         RegimeReport, consistency_sweep, perm_test,
                         regime_classify, tail_diagnostic)

@@ -20,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import DcovEstimate, _d1_contract
-
-
-class DomainError(ValueError):
-    """A parameter is outside the mathematical domain of the method."""
+from .exact import DcovEstimate, DomainError, _d1_contract
 
 
 class QuadratureError(RuntimeError):

@@ -16,11 +16,10 @@ import numpy as np
 
 from . import __version__
 from .beta2 import dcov2_closed
-from .charfn import (DomainError, QuadConfig, QuadratureError, c_const,
-                     dcov_charfn_1d)
+from .charfn import QuadConfig, QuadratureError, c_const, dcov_charfn_1d
 from .charrv import dcov_charrv_mc, dcov_hm
 from .estimators import PairedSample, dcov_centered, dcov_plugin_d1
-from .exact import DiscreteJoint, dcov_exact, projection_demo
+from .exact import DiscreteJoint, DomainError, dcov_exact, projection_demo
 from .inference import (SWEEP_METHODS, MomentFlags, consistency_sweep,
                         perm_test, regime_classify, tail_diagnostic)
 from .io import load_csv, parse_columns
@@ -340,7 +339,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the library refuses a result that overflows with one line, so
+        # numpy's overflow and invalid-value warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (DomainError, QuadratureError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3

@@ -113,4 +113,6 @@ def dcor(sample):
     if vxx <= 0 or vyy <= 0:
         raise ValueError("degenerate marginal: dcov(x,x)=%g, dcov(y,y)=%g"
                          % (vxx, vyy))
-    return vxy / np.sqrt(vxx * vyy)
+    # square roots first: vxx * vyy over- or underflows at data scales
+    # where vxx and vyy are still finite and positive
+    return vxy / (np.sqrt(vxx) * np.sqrt(vyy))

@@ -23,6 +23,24 @@ from .metric import as_points, euclidean, pairwise_distances, row_blocks
 D2_SUPPORT_CAP = 64
 
 
+class DomainError(ValueError):
+    """A parameter or the data scale is outside the domain of the method."""
+
+
+def _require_finite(values, sizes):
+    """Raise DomainError unless all values are finite.
+
+    sizes are typical kernel entries (means, or root mean squares of
+    centered entries, which read inf once the squares overflow).
+    """
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            "result is not finite: at this data scale the kernels or their "
+            "products overflow double precision (typical kernel entries "
+            "%s); divide each side by a power of 2, c, and multiply the "
+            "value by c^beta per side" % ", ".join("%.3g" % v for v in sizes))
+
+
 @dataclass(frozen=True)
 class DcovEstimate:
     """A computed distance covariance value with method metadata."""
@@ -128,10 +146,10 @@ def ttilde_eval(x1, x2, marginal_atoms, marginal_probs, spec):
 def _d1_rows(rows, w):
     """Three-term pairwise-form contraction collected over row blocks.
 
-    rows(lo, hi) returns rows lo:hi of two kernels a, b that are both
-    symmetric or both antisymmetric (the sine halves of Hermitian
-    kernels). Returns sum_ij w_i w_j a_ij b_ij + (w'a w)(w'b w)
-    - 2 sum_i w_i (a w)_i (b w)_i, holding one row block at a time.
+    rows(lo, hi) returns rows lo:hi of two symmetric kernels a, b.
+    Returns sum_ij w_i w_j a_ij b_ij + (w'a w)(w'b w)
+    - 2 sum_i w_i (a w)_i (b w)_i, holding one row block at a time, and
+    raises DomainError if that is not finite.
     """
     aw = np.empty(w.size)
     bw = np.empty(w.size)
@@ -141,9 +159,12 @@ def _d1_rows(rows, w):
         aw[lo:hi] = a @ w
         bw[lo:hi] = b @ w
         term1 += float(w[lo:hi] @ ((a * b) @ w))
-    term2 = float(w @ aw) * float(w @ bw)
+    mean_a = float(w @ aw)
+    mean_b = float(w @ bw)
     term3 = float(np.sum(w * (aw * bw)))
-    return term1 + term2 - 2.0 * term3
+    value = term1 + mean_a * mean_b - 2.0 * term3
+    _require_finite(value, (mean_a, mean_b))
+    return value
 
 
 def _d1_contract(a, b, w):
@@ -156,13 +177,16 @@ def _centered_rows(rows, w):
 
     rows(lo, hi) returns a tuple of rows lo:hi of symmetric kernels, as
     arrays that may be overwritten. The first sweep collects the row
-    sums (k w)_i of each kernel; the second centers each block in place
-    to k_ij - (k w)_i - (k w)_j + w'k w and yields (lo, hi, blocks).
+    sums (k w)_i of each kernel, and raises DomainError if they are not
+    finite; the second centers each block in place to
+    k_ij - (k w)_i - (k w)_j + w'k w and yields (lo, hi, blocks).
     """
     blocks = row_blocks(w.size)
     per_block = [[k @ w for k in rows(lo, hi)] for lo, hi in blocks]
     kw = [np.concatenate(parts) for parts in zip(*per_block)]
-    col = [r - float(w @ r) for r in kw]    # column terms (k w)_j - w'k w
+    means = [float(w @ r) for r in kw]
+    _require_finite(kw, means)
+    col = [r - m for r, m in zip(kw, means)]    # (k w)_j - w'k w
     for lo, hi in blocks:
         ks = rows(lo, hi)
         for k, r, c in zip(ks, kw, col):
@@ -172,10 +196,14 @@ def _centered_rows(rows, w):
 
 
 def _centered_products(rows, w):
-    """sum_ij w_i w_j (ca cb, ca ca, cb cb)_ij of the kernels rows(lo, hi)."""
+    """sum_ij w_i w_j (ca cb, ca ca, cb cb)_ij of the kernels rows(lo, hi).
+
+    Raises DomainError if any of the three is not finite.
+    """
     sums = np.zeros(3)
     for lo, hi, (a, b) in _centered_rows(rows, w):
         sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
+    _require_finite(sums, np.sqrt(sums[1:]))
     return sums
 
 

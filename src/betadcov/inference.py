@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import (_centered_contract, _centered_rows, _d1_contract,
-                    dcov_exact)
+                    _require_finite, dcov_exact)
 from .metric import as_points, distance_rows, pairwise_distances, row_blocks
 
 #: estimators consistency_sweep can evaluate on resampled weights
@@ -40,7 +40,8 @@ def perm_test(sample, B=199, seed=None):
     is never exactly zero. A permuted statistic counts as exceeding when
     it is at least the observed one minus 1e-12 sqrt(sum ca^2 sum cb^2),
     the Cauchy-Schwarz bound on both, so statistics that tie in exact
-    arithmetic (as on lattice data) count whatever their rounding.
+    arithmetic (as on lattice data) count whatever their rounding. A
+    non-finite observed statistic raises DomainError.
 
     The doubly centered y kernel cb is the one n x n array: it is built
     once and centered in place. The x kernel is swept in row blocks,
@@ -92,7 +93,11 @@ def perm_test(sample, B=199, seed=None):
             np.take(cb, perm[lo:hi], axis=0, out=rp, mode="clip")
             np.take(rp, perm, axis=1, out=bp, mode="clip")
             stats[b] += np.vdot(ca, bp)
-    tol = 1e-12 * np.sqrt(ssa * np.vdot(cb, cb))
+    ssb = np.vdot(cb, cb)
+    # square roots before the product, which would overflow (or
+    # underflow) at data scales where each factor is still finite
+    tol = 1e-12 * np.sqrt(ssa) * np.sqrt(ssb)
+    _require_finite((observed, tol), (np.sqrt(ssa) / n, np.sqrt(ssb) / n))
     exceed = int(np.count_nonzero(stats >= observed - tol))
     p = (1 + exceed) / (B + 1)
     return PermTestResult(observed=float(observed) / (n * n), p_value=p,

@@ -92,20 +92,33 @@ class TestDcov:
         assert rc == 3
         assert "diverges" in err
 
-    @pytest.mark.parametrize("method, extra", [
-        ("charrv", ["--seed", "1", "--draws", "4"]),
-        ("charfn", ["--prob-col", "prob"])])
-    def test_node_cap_is_exit_3(self, tmp_path, method, extra):
+    @staticmethod
+    def _wide_csv(tmp_path):
         wide = tmp_path / "wide.csv"
         wide.write_text("x1,y1,prob\n0,0,0.25\n10000,0,0.25\n"
                         "0,1,0.25\n10000,1,0.25\n")
-        rc, out, err = run_cli(["dcov", "--input", str(wide),
+        return str(wide)
+
+    def test_node_cap_is_exit_3(self, tmp_path):
+        rc, out, err = run_cli(["dcov", "--input", self._wide_csv(tmp_path),
                                 "--x-cols", "x1", "--y-cols", "y1",
-                                "--beta", "1", "--method", method] + extra)
+                                "--beta", "1", "--method", "charfn",
+                                "--prob-col", "prob"])
         assert rc == 3
         assert out == ""
         assert err.startswith("error: quadrature grid would need")
         assert err.count("\n") == 1
+
+    def test_charrv_has_no_grid_to_cap(self, tmp_path):
+        # the same wide span; the four rows form a product law, so every
+        # draw is 0 up to rounding
+        rc, out, err = run_cli(["dcov", "--input", self._wide_csv(tmp_path),
+                                "--x-cols", "x1", "--y-cols", "y1",
+                                "--beta", "1", "--method", "charrv",
+                                "--seed", "1", "--draws", "4"])
+        assert rc == 0, err
+        report = check_schema(out)
+        assert abs(report["value"]) <= 1e-12 * 10000
 
     def test_charfn_unreliable_tail_is_exit_3(self, tmp_path):
         narrow = tmp_path / "narrow.csv"
@@ -159,6 +172,74 @@ class TestDcov:
                                   "--beta", beta, "--method", method])
             assert rc == 0
             check_schema(out)
+
+
+def _scaled_csv(tmp_path_factory, sample_csv, scale):
+    _, data = load_csv(sample_csv)
+    path = tmp_path_factory.mktemp("data") / "scaled.csv"
+    path.write_text("x1,y1\n" + "".join("%.17g,%.17g\n" % tuple(row * scale)
+                                        for row in data))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def huge_csv(tmp_path_factory, sample_csv):
+    """The sample_csv data times 1e160: its squared distances overflow."""
+    return _scaled_csv(tmp_path_factory, sample_csv, 1e160)
+
+
+@pytest.fixture(scope="module")
+def big_csv(tmp_path_factory, sample_csv):
+    """Times 1e80: at beta = 1.9 the kernels stay finite, products do not."""
+    return _scaled_csv(tmp_path_factory, sample_csv, 1e80)
+
+
+@pytest.fixture(scope="module")
+def bigger_csv(tmp_path_factory, sample_csv):
+    """Times 1e82: at beta = 1.9 every sum of kernel products overflows."""
+    return _scaled_csv(tmp_path_factory, sample_csv, 1e82)
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("method, extra, entries", [
+        ("d1", [], "inf, inf"), ("centered", [], "inf, inf"),
+        # the default level M is inf there too, and h_trunc(inf, inf) nan
+        ("hm", [], "nan, nan"),
+        ("charrv", ["--seed", "1", "--draws", "4"], "inf, inf")])
+    def test_dcov_kernel_overflow_is_exit_3(self, huge_csv, method, extra,
+                                            entries):
+        rc, out, err = run_cli(["dcov", "--input", huge_csv, "--x-cols",
+                                "x1", "--y-cols", "y1", "--beta", "1",
+                                "--method", method] + extra)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: result is not finite: at this data "
+                              "scale the kernels or their products overflow "
+                              "double precision (typical kernel entries %s)"
+                              % entries)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["d1", "centered"])
+    def test_dcov_product_overflow_is_exit_3(self, bigger_csv, method):
+        rc, out, err = run_cli(["dcov", "--input", bigger_csv, "--x-cols",
+                                "x1", "--y-cols", "y1", "--beta", "1.9",
+                                "--method", method])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: result is not finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("beta, data", [("1", "huge_csv"),
+                                            ("1.9", "big_csv")])
+    def test_perm_test_overflow_is_exit_3(self, request, beta, data):
+        rc, out, err = run_cli(["test", "--input",
+                                request.getfixturevalue(data), "--x-cols",
+                                "x1", "--y-cols", "y1", "--beta", beta,
+                                "-B", "19", "--seed", "1"])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: result is not finite")
+        assert err.count("\n") == 1
 
 
 class TestUsageErrors:

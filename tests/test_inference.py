@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from betadcov import (DiscreteJoint, MomentFlags, PairedSample,
-                      consistency_sweep, dcov_centered, euclidean, perm_test,
-                      regime_classify, tail_diagnostic)
+                      consistency_sweep, dcor, dcov_centered, euclidean,
+                      pairwise_distances, perm_test, regime_classify,
+                      tail_diagnostic)
 from betadcov.inference import (FINITE, PLUS_INF, TTILDE_UNDEFINED, UNDEFINED,
                                 UNKNOWN)
 from conftest import random_joint
@@ -125,6 +126,56 @@ class TestPermTest:
             assert scaled.observed == pytest.approx(
                 c ** beta * base.observed, rel=1e-13)
             assert scaled.p_value == base.p_value
+
+
+class TestScaleLadder:
+    """p-values and dcor do not depend on the data scale.
+
+    The ladder multiplies both sides by 2^k, which is exact. Its band
+    keeps every distance of the sample within [2^-500, 2^500]: every
+    squared distance then lies in [2^-1000, 2^1000], and for beta <= 1
+    every kernel entry, every product of two centered entries (at most
+    4 max kernel each) and every sum of n^2 such products are normal
+    doubles.
+    """
+
+    @staticmethod
+    def _ladder(x, y):
+        d = np.concatenate([pairwise_distances(p, euclidean(p.shape[1], 1.0))
+                            .ravel() for p in (x, y)])
+        lo = -500 - math.floor(math.log2(d[d > 0].min()))
+        hi = 500 - math.ceil(math.log2(d.max()))
+        # even k, so that at beta = 1/2 the kernels scale by 2^(k/2) too
+        lo, hi = lo + lo % 2, hi - hi % 2
+        assert lo <= -480 and hi >= 490
+        return sorted({lo, -300, -100, 0, 100, 300, hi})
+
+    @staticmethod
+    def _sample(rng, beta):
+        x = rng.normal(size=(120, 2))
+        y = x[:, :1] + rng.normal(size=(120, 2))
+        return x, y, euclidean(2, beta)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_perm_test_p_value(self, rng, beta):
+        x, y, sp = self._sample(rng, beta)
+        base = perm_test(PairedSample(x, y, sp, sp), B=99, seed=4)
+        assert base.p_value == 0.01
+        for k in self._ladder(x, y):
+            c = 2.0 ** k
+            res = perm_test(PairedSample(c * x, c * y, sp, sp), B=99, seed=4)
+            assert res.p_value == base.p_value
+            assert res.observed == pytest.approx(
+                c ** (2 * beta) * base.observed, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_dcor(self, rng, beta):
+        x, y, sp = self._sample(rng, beta)
+        base = dcor(PairedSample(x, y, sp, sp))
+        for k in self._ladder(x, y):
+            c = 2.0 ** k
+            value = dcor(PairedSample(c * x, c * y, sp, sp))
+            assert value == pytest.approx(base, rel=1e-15)
 
 
 def _dense_perm_test(sample, B, seed):

@@ -3,7 +3,9 @@
 charrv is a Monte Carlo estimate of the d1 value of the same sample, so
 the two agree within a few standard errors. Every route is homogeneous:
 scaling X by c scales the value by c^beta. With c a power of 2 the
-scaled coordinates are exact, so only the powering rounds.
+scaled coordinates are exact, so only the powering rounds. For a fixed
+seed charrv draws the same directions at every scale and position, so
+its homogeneity and translation invariance hold draw by draw.
 """
 
 import numpy as np
@@ -13,23 +15,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from betadcov import (DiscreteJoint, PairedSample, QuadratureError,
-                      dcov_centered, dcov_charfn_1d, dcov_charrv_mc,
-                      dcov_exact, dcov_hm, dcov_plugin_d1, euclidean,
-                      pairwise_distances)
+                      dcov2_closed, dcov_centered, dcov_charfn_1d,
+                      dcov_charrv_mc, dcov_exact, dcov_hm, dcov_plugin_d1,
+                      euclidean, pairwise_distances)
 
 _coords = st.floats(-2.0, 2.0, allow_subnormal=False)
+# a 1/8 lattice in [-2, 2]: sums of lattice points are exact
+_lattice = st.integers(-16, 16).map(lambda v: v / 8.0)
 _betas = st.sampled_from([0.5, 1.0, 1.5])
 _scales = st.sampled_from([0.25, 0.5, 2.0, 4.0])
+_seeds = st.integers(0, 2 ** 32 - 1)
 
 
 @st.composite
-def _samples(draw, n_min=2, n_max=8):
+def _samples(draw, n_min=2, n_max=8, coords=_coords):
     """n paired points in 1-2 dimensions per side."""
     n = draw(st.integers(n_min, n_max))
     dx = draw(st.integers(1, 2))
     dy = draw(st.integers(1, 2))
-    x = draw(arrays(np.float64, (n, dx), elements=_coords))
-    y = draw(arrays(np.float64, (n, dy), elements=_coords))
+    x = draw(arrays(np.float64, (n, dx), elements=coords))
+    y = draw(arrays(np.float64, (n, dy), elements=coords))
     return x, y
 
 
@@ -46,7 +51,7 @@ def _kernel_scale(x, y, beta):
 
 
 @settings(max_examples=20)
-@given(_samples(n_min=4), _betas, st.integers(0, 2 ** 32 - 1))
+@given(_samples(n_min=4), _betas, _seeds)
 def test_charrv_within_four_stderr_of_d1(xy, beta, seed):
     x, y = xy
     sample = _sample(x, y, beta)
@@ -54,6 +59,52 @@ def test_charrv_within_four_stderr_of_d1(xy, beta, seed):
     d1 = dcov_plugin_d1(sample).value
     assert abs(est.value - d1) <= (4.0 * est.stderr
                                    + 1e-9 * _kernel_scale(x, y, beta))
+
+
+@settings(max_examples=30)
+@given(_samples(coords=_lattice), _betas, st.integers(-64, 64),
+       st.integers(-64, 64), _seeds)
+def test_charrv_homogeneous_draw_by_draw(xy, beta, i, j, seed):
+    # on the lattice every projected gap scaled by 2^(+-64) stays a
+    # normal double, so scaling is exact up to the powering, which is
+    # exact at beta = 1 (a square root)
+    x, y = xy
+    base = dcov_charrv_mc(_sample(x, y, beta), draws=16, seed=seed)
+    scaled = dcov_charrv_mc(_sample(2.0 ** i * x, 2.0 ** j * y, beta),
+                            draws=16, seed=seed)
+    f = 2.0 ** (beta * (i + j))
+    if beta == 1.0:
+        assert scaled.value == f * base.value
+        assert scaled.stderr == f * base.stderr
+    tol = 1e-12 * f * _kernel_scale(x, y, beta)
+    assert abs(scaled.value - f * base.value) <= tol
+    assert abs(scaled.stderr - f * base.stderr) <= tol
+
+
+@settings(max_examples=30)
+@given(_samples(coords=_lattice), _betas,
+       arrays(np.float64, 4, elements=_lattice), _seeds)
+def test_charrv_translation_invariant(xy, beta, shift, seed):
+    # lattice points and shifts keep x + c exact; only the projections
+    # of the shifted points round
+    x, y = xy
+    base = dcov_charrv_mc(_sample(x, y, beta), draws=16, seed=seed)
+    moved = dcov_charrv_mc(_sample(x + shift[:x.shape[1]],
+                                   y + shift[2:2 + y.shape[1]], beta),
+                           draws=16, seed=seed)
+    tol = 1e-12 * _kernel_scale(x, y, beta)
+    assert abs(moved.value - base.value) <= tol
+    assert abs(moved.stderr - base.stderr) <= tol
+
+
+@given(_samples(coords=_lattice), _scales, _scales)
+def test_beta2_homogeneous(xy, c, d):
+    # scaling by powers of 2 is exact through the cross-covariance, so
+    # the value scales by exactly c^2 d^2
+    x, y = xy
+    base = dcov2_closed(_sample(x, y, 2.0)).value
+    scaled = dcov2_closed(_sample(c * x, d * y, 2.0)).value
+    assert scaled == c * c * d * d * base
 
 
 @pytest.mark.parametrize("route", [dcov_plugin_d1, dcov_centered])
