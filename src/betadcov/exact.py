@@ -146,10 +146,10 @@ def ttilde_eval(x1, x2, marginal_atoms, marginal_probs, spec):
 def _d1_rows(rows, w):
     """Three-term pairwise-form contraction collected over row blocks.
 
-    rows(lo, hi) returns rows lo:hi of two symmetric kernels a, b.
-    Returns sum_ij w_i w_j a_ij b_ij + (w'a w)(w'b w)
-    - 2 sum_i w_i (a w)_i (b w)_i, holding one row block at a time, and
-    raises DomainError if that is not finite.
+    rows(lo, hi) returns rows lo:hi of two kernels a, b that are both
+    symmetric or both antisymmetric. Returns sum_ij w_i w_j a_ij b_ij
+    + (w'a w)(w'b w) - 2 sum_i w_i (a w)_i (b w)_i, holding one row
+    block at a time, and raises DomainError if that is not finite.
     """
     aw = np.empty(w.size)
     bw = np.empty(w.size)

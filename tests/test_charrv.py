@@ -368,3 +368,72 @@ class TestProjectionDraws:
             assert abs(old - new) <= err
             # the bound is informative: under 20% of the draw's own scale
             assert err <= 0.2 * size(a, b) / k2
+
+
+def _ref_contract_c(p, q, w):
+    """Real part of the three-term contraction of complex kernels p, q."""
+    pw = p @ w
+    qw = q @ w
+    term1 = np.sum(w[:, None] * w[None, :] * (p * q))
+    term2 = (w @ pw) * (w @ qw)
+    term3 = np.sum(w * (pw * qw))
+    return float((term1 + term2 - 2.0 * term3).real)
+
+
+def _ref_charrv_mc(sample, draws, seed):
+    """Reference of dcov_charrv_mc in the double-centred form.
+
+    Each draw centres the dense kernels |gap|^beta of both projections
+    to four pieces, a_ij - (a w)_i - (a w)_j + w'a w, and contracts them
+    once, sum_ij w_i w_j ca_ij cb_ij: the same d1 as the library's
+    three-term sum, reached by other arithmetic. E|N(0,1)|^beta is
+    taken as the absolute moment of the normal law.
+    """
+    beta = sample.beta
+    w, px, py = _projections(sample, draws, seed)
+
+    def centred(p):
+        a = np.abs(p[:, None] - p[None, :]) ** beta
+        aw = a @ w
+        return a - aw[:, None] - aw[None, :] + w @ aw
+
+    vals = np.array([w @ (centred(px[:, i]) * centred(py[:, i])) @ w
+                     for i in range(draws)])
+    kappa = 2.0 ** (beta / 2.0) * math.gamma((beta + 1.0) / 2.0) \
+        / math.sqrt(math.pi)
+    return (float(vals.mean()) / kappa ** 2,
+            float(vals.std(ddof=1)) / math.sqrt(draws) / kappa ** 2)
+
+
+class TestFoldedTable:
+    """dcov_charrv_mc end to end against a dense reference, and the
+    complex split of the shared contraction."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("collapsed", [False, True])
+    def test_matches_four_contraction_reference(self, beta, dim, collapsed):
+        sample = _case(beta, dim, collapsed)
+        if collapsed:
+            assert _collapse(sample.x, sample.y)[2].size <= 12
+        est = dcov_charrv_mc(sample, draws=16, seed=23)
+        ref_value, ref_stderr = _ref_charrv_mc(sample, draws=16, seed=23)
+        assert est.value == pytest.approx(ref_value, rel=1e-10)
+        assert est.stderr == pytest.approx(ref_stderr, rel=1e-10)
+
+    def test_complex_split_of_contraction(self, rng):
+        # a Hermitian kernel -C + iS has C symmetric and S antisymmetric;
+        # the real part of the contraction of two of them is
+        # d1(C_p, C_q) - d1(S_p, S_q)
+        def hermitian(k):
+            c = rng.normal(size=(k, k))
+            s = rng.normal(size=(k, k))
+            return c + c.T, s - s.T
+
+        for k in (2, 5, 30):
+            w = rng.dirichlet(np.ones(k))
+            cp, sp = hermitian(k)
+            cq, sq = hermitian(k)
+            whole = _ref_contract_c(-cp + 1j * sp, -cq + 1j * sq, w)
+            split = _d1_contract(cp, cq, w) - _d1_contract(sp, sq, w)
+            assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)

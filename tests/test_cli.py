@@ -99,11 +99,15 @@ class TestDcov:
                         "0,1,0.25\n10000,1,0.25\n")
         return str(wide)
 
-    def test_node_cap_is_exit_3(self, tmp_path):
+    # the four rows carry equal weight, so rows and --prob-col give the
+    # same law and the same grid
+    @pytest.mark.parametrize("method, extra", [
+        ("charfn", []),
+        ("charfn", ["--prob-col", "prob"])])
+    def test_node_cap_is_exit_3(self, tmp_path, method, extra):
         rc, out, err = run_cli(["dcov", "--input", self._wide_csv(tmp_path),
                                 "--x-cols", "x1", "--y-cols", "y1",
-                                "--beta", "1", "--method", "charfn",
-                                "--prob-col", "prob"])
+                                "--beta", "1", "--method", method] + extra)
         assert rc == 3
         assert out == ""
         assert err.startswith("error: quadrature grid would need")
