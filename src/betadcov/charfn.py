@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import DcovEstimate, DomainError, _d1_contract
+from .exact import DcovEstimate, DomainError, _d1_contract, _require_memory
 
 
 class QuadratureError(RuntimeError):
@@ -153,7 +153,8 @@ def dcov_charfn_1d(joint, q=None):
 
     Both marginals must be one-dimensional Euclidean and beta must lie
     in (0, 2). Returns the value plus truncation/origin error estimates
-    in aux.
+    in aux. Refuses k atoms whose 80 k^2 bytes of box kernels exceed
+    physical memory.
     """
     if q is None:
         q = QuadConfig()
@@ -166,6 +167,9 @@ def dcov_charfn_1d(joint, q=None):
         raise DomainError(
             "the characteristic-function integral diverges for beta >= 2 "
             "and beta=%g is outside (0, 2)" % beta)
+    k = joint.support
+    _require_memory(80 * k * k, "charfn quadrature at k=%d atoms" % k,
+                    "two stacks of five k x k box kernels")
 
     xs = joint.x_atoms[:, 0]
     ys = joint.y_atoms[:, 0]

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .exact import DcovEstimate, DomainError, _d1_contract, _d1_rows
+from .exact import DcovEstimate, DomainError, _d1_rows
 from .metric import distance_rows, euclidean, squared_distance_rows
 
 
@@ -51,14 +51,13 @@ def mean_sq_char_gap(joint, r, s):
     Averaging exp(i xi.v) over a standard normal direction gives
     exp(-|v|^2 / 2), so the expectation over (xi, eta) collapses to the
     pairwise contraction of two Gaussian kernel matrices with scale
-    parameters r^2/2 and s^2/2. Finite-support joints only.
+    parameters r^2/2 and s^2/2, by row blocks. Finite-support joints only.
     """
-    k = joint.support
-    dx2 = squared_distance_rows(joint.x_atoms, 0, k)
-    dy2 = squared_distance_rows(joint.y_atoms, 0, k)
-    gx = np.exp(-(r * r / 2.0) * dx2)
-    gy = np.exp(-(s * s / 2.0) * dy2)
-    return _d1_contract(gx, gy, joint.probs)
+    def rows(lo, hi):
+        return tuple(np.exp(-(c * c / 2.0) * squared_distance_rows(p, lo, hi))
+                     for c, p in ((r, joint.x_atoms), (s, joint.y_atoms)))
+
+    return _d1_rows(rows, joint.probs)
 
 
 def mean_sq_char_gap_mc(joint, r, s, draws, seed):

@@ -66,9 +66,6 @@ class PairedSample:
             self._b = pairwise_distances(self.y, self.y_spec)
         return self._b
 
-    def swapped(self):
-        return PairedSample(self.y, self.x, self.y_spec, self.x_spec)
-
 
 def _uniform_weights(sample):
     """Weight 1/n per observation; refuses fewer than two observations."""

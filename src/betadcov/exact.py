@@ -11,13 +11,19 @@ machine precision through three independent routes:
 
 All three agree on finite support; that agreement is the main oracle
 for every estimator in this package.
+
+A DiscreteJoint holds no distance matrix: d1 and d3 sweep row blocks
+of its kernels (DiscreteJoint.rows) through the contractions the sample
+estimators share, _d1_rows and _centered_products. Only d2 builds them.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import as_points, euclidean, pairwise_distances, row_blocks
+from .metric import (as_points, distance_rows, euclidean, pairwise_distances,
+                     row_blocks)
 
 #: default cap on support size for the O(k^4) quadruple sum
 D2_SUPPORT_CAP = 64
@@ -39,6 +45,20 @@ def _require_finite(values, sizes):
             "products overflow double precision (typical kernel entries "
             "%s); divide each side by a power of 2, c, and multiply the "
             "value by c^beta per side" % ", ".join("%.3g" % v for v in sizes))
+
+
+def _physical_memory():
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(need, run, what):
+    """Refuse run, whose arrays (what) take need bytes, beyond memory."""
+    phys = _physical_memory()
+    if need > phys:
+        raise ValueError(
+            "%s needs about %d bytes (%.1f GB) for %s, more than the %.1f GB "
+            "of physical memory" % (run, need, need / 1e9, what, phys / 1e9))
 
 
 @dataclass(frozen=True)
@@ -75,28 +95,15 @@ class DiscreteJoint:
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities sum to %.17g, not 1" % p.sum())
         self.probs = p
-        self._a = None
-        self._b = None
 
     @property
     def support(self):
         return self.probs.size
 
-    def x_dist(self):
-        if self._a is None:
-            self._a = pairwise_distances(self.x_atoms, self.x_spec)
-        return self._a
-
-    def y_dist(self):
-        if self._b is None:
-            self._b = pairwise_distances(self.y_atoms, self.y_spec)
-        return self._b
-
-    def x_marginal(self):
-        return self.x_atoms, self.probs
-
-    def y_marginal(self):
-        return self.y_atoms, self.probs
+    def rows(self, lo, hi):
+        """Rows lo:hi of the x and y distance kernels, freshly computed."""
+        return (distance_rows(self.x_atoms, self.x_spec, lo, hi),
+                distance_rows(self.y_atoms, self.y_spec, lo, hi))
 
     @classmethod
     def product(cls, x_atoms, x_probs, y_atoms, y_probs, x_spec, y_spec):
@@ -212,10 +219,13 @@ def _centered_contract(a, b, w):
     return _centered_products(lambda i, j: (a[i:j].copy(), b[i:j].copy()), w)
 
 
-def _dcov_d2(a, b, w, cap):
+def _dcov_d2(joint, cap):
+    w = joint.probs
     k = w.size
     if k > cap:
         raise ValueError("support %d exceeds the quadruple-sum cap %d" % (k, cap))
+    a = pairwise_distances(joint.x_atoms, joint.x_spec)
+    b = pairwise_distances(joint.y_atoms, joint.y_spec)
     total = np.empty(k)
     for i in range(k):
         # hx[j,k,l] = a[i,j] - a[j,k] + a[k,l] - a[l,i], one slab per i
@@ -234,15 +244,12 @@ def dcov_exact(joint, method="d1", d2_cap=D2_SUPPORT_CAP):
     "d2" (four-point alternating sums, O(k^4), capped support) or "d3"
     (doubly centered kernels). The three agree within 1e-10.
     """
-    a = joint.x_dist()
-    b = joint.y_dist()
-    w = joint.probs
     if method == "d1":
-        value = _d1_contract(a, b, w)
+        value = _d1_rows(joint.rows, joint.probs)
     elif method == "d2":
-        value = _dcov_d2(a, b, w, d2_cap)
+        value = _dcov_d2(joint, d2_cap)
     elif method == "d3":
-        value = float(_centered_contract(a, b, w)[0])
+        value = float(_centered_products(joint.rows, joint.probs)[0])
     else:
         raise ValueError("unknown method %r" % method)
     return DcovEstimate(value=value, method=method,

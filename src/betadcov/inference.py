@@ -9,13 +9,12 @@ heuristic, the latter turns analyst-supplied moment facts into a
 per-definition finite / infinite / undefined verdict.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import (_centered_contract, _centered_rows, _d1_contract,
-                    _require_finite, dcov_exact)
+                    _require_finite, _require_memory)
 from .metric import as_points, distance_rows, pairwise_distances, row_blocks
 
 #: estimators consistency_sweep can evaluate on resampled weights
@@ -40,7 +39,8 @@ def perm_test(sample, B=199, seed=None):
     is never exactly zero. A permuted statistic counts as exceeding when
     it is at least the observed one minus 1e-12 sqrt(sum ca^2 sum cb^2),
     the Cauchy-Schwarz bound on both, so statistics that tie in exact
-    arithmetic (as on lattice data) count whatever their rounding. A
+    arithmetic (as on lattice data) count whatever their rounding. Every
+    sum carries the weight 1/n^2 per entry, put on each x block once. A
     non-finite observed statistic raises DomainError.
 
     The doubly centered y kernel cb is the one n x n array: it is built
@@ -59,14 +59,9 @@ def perm_test(sample, B=199, seed=None):
     if seed is None:
         raise ValueError("seed is required (no silent nondeterminism)")
     n = sample.n
-    need = 8 * n * n + 8 * B * n
-    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > phys:
-        raise ValueError(
-            "permutation test at n=%d, B=%d needs about %d bytes (%.1f GB) "
-            "for one n x n matrix and the permutations, more than the "
-            "%.1f GB of physical memory"
-            % (n, B, need, need / 1e9, phys / 1e9))
+    _require_memory(8 * n * n + 8 * B * n,
+                    "permutation test at n=%d, B=%d" % (n, B),
+                    "one n x n matrix and the permutations")
     w = np.full(n, 1.0 / n)
     cb = pairwise_distances(sample.y, sample.y_spec)
     for _ in _centered_rows(lambda lo, hi: (cb[lo:hi],), w):
@@ -78,29 +73,32 @@ def perm_test(sample, B=199, seed=None):
     rows = row_blocks(n)[0][1]              # rows in the largest block
     picked = np.empty((rows, n))
     buf = np.empty((rows, n))
-    observed = ssa = 0.0
+    observed = ssa = ssb = 0.0
     stats = np.zeros(B)
+    ww = 1.0 / (n * n)                      # the weight w_i w_j of an entry
 
     def x_rows(lo, hi):
         return (distance_rows(sample.x, sample.x_spec, lo, hi),)
 
     for lo, hi, (ca,) in _centered_rows(x_rows, w):
-        observed += np.vdot(ca, cb[lo:hi])
-        ssa += np.vdot(ca, ca)
+        wa = ca * ww                        # no unweighted sum to overflow
+        cbb = cb[lo:hi]
+        observed += np.vdot(wa, cbb)
+        ssa += np.vdot(wa, ca)
+        ssb += np.vdot(cbb * ww, cbb)
         rp, bp = picked[:hi - lo], buf[:hi - lo]
         for b, perm in enumerate(perms):
             # mode="clip" lets take write into out without a temporary
             np.take(cb, perm[lo:hi], axis=0, out=rp, mode="clip")
             np.take(rp, perm, axis=1, out=bp, mode="clip")
-            stats[b] += np.vdot(ca, bp)
-    ssb = np.vdot(cb, cb)
+            stats[b] += np.vdot(wa, bp)
     # square roots before the product, which would overflow (or
     # underflow) at data scales where each factor is still finite
     tol = 1e-12 * np.sqrt(ssa) * np.sqrt(ssb)
-    _require_finite((observed, tol), (np.sqrt(ssa) / n, np.sqrt(ssb) / n))
+    _require_finite((observed, tol), (np.sqrt(ssa), np.sqrt(ssb)))
     exceed = int(np.count_nonzero(stats >= observed - tol))
     p = (1 + exceed) / (B + 1)
-    return PermTestResult(observed=float(observed) / (n * n), p_value=p,
+    return PermTestResult(observed=float(observed), p_value=p,
                           B=B, seed=seed, beta=sample.beta, n=n)
 
 
@@ -120,8 +118,9 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
     For each sample size draws atom indices from the joint, evaluates
     the weighted plug-in estimator on the resampled weights, and
     reports the median estimate and median absolute error over seeds.
-    Sampling reuses the joint's cached distance matrices, so the cost
-    is O(n + k^2) per replicate.
+    The two k x k distance matrices (16 k^2 bytes, refused beyond
+    physical memory) are built once; every replicate contracts copies of
+    their rows, at a cost of O(n + k^2).
     """
     schedule = [int(n) for n in n_schedule]
     if not schedule:
@@ -130,10 +129,12 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
         raise ValueError("sample sizes must be increasing")
     if method not in SWEEP_METHODS:
         raise ValueError("method must be %s" % " or ".join(SWEEP_METHODS))
-    population = dcov_exact(joint, "d1").value
-    a = joint.x_dist()
-    b = joint.y_dist()
     k = joint.support
+    _require_memory(16 * k * k, "consistency sweep at k=%d atoms" % k,
+                    "two k x k distance matrices")
+    a = pairwise_distances(joint.x_atoms, joint.x_spec)
+    b = pairwise_distances(joint.y_atoms, joint.y_spec)
+    population = _d1_contract(a, b, joint.probs)
     rows = []
     for n in schedule:
         ests = []
@@ -237,27 +238,17 @@ def _close_flags(flags):
     f = {k: getattr(flags, k) for k in (
         "x_beta", "y_beta", "prod", "x_2beta", "y_2beta",
         "hx_l1", "hx_l2", "hy_l1", "hy_l2")}
+    rules = list(_IMPLICATIONS)
     if flags.y_equals_x:
+        # on the diagonal x facts are y facts and prod is x_2beta
         for a, b in (("x_beta", "y_beta"), ("x_2beta", "y_2beta"),
-                     ("hx_l1", "hy_l1"), ("hx_l2", "hy_l2")):
-            for src, dst in ((a, b), (b, a)):
-                if f[src] is not None:
-                    if f[dst] is not None and f[dst] != f[src]:
-                        raise ValueError(
-                            "inconsistent flags: %s and %s differ although "
-                            "Y = X" % (src, dst))
-                    f[dst] = f[src]
-        # on the diagonal the product moment is the 2 beta moment
-        for src, dst in (("x_2beta", "prod"), ("prod", "x_2beta")):
-            if f[src] is not None:
-                if f[dst] is not None and f[dst] != f[src]:
-                    raise ValueError(
-                        "inconsistent flags: prod must match x_2beta when Y = X")
-                f[dst] = f[src]
+                     ("hx_l1", "hy_l1"), ("hx_l2", "hy_l2"),
+                     ("x_2beta", "prod")):
+            rules += [(a, b), (b, a)]
     changed = True
     while changed:
         changed = False
-        for ante, cons in _IMPLICATIONS:
+        for ante, cons in rules:
             if f[ante] is True:
                 if f[cons] is False:
                     raise ValueError(

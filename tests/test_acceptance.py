@@ -4,14 +4,12 @@ Each test prints a one-line verdict so a `pytest -v -s` run doubles as
 an acceptance report.
 """
 
-import json
 import re
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
 
 from betadcov import (DiscreteJoint, PairedSample, c_const, consistency_sweep,
                       dcov2_closed, dcov_centered, dcov_charfn_1d,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from betadcov import (DcovEstimate, DiscreteJoint, DomainError, QuadConfig,
                       QuadratureError, c_const, dcov_charfn_1d, dcov_exact,
-                      euclidean, scale_const)
+                      euclidean, exact, scale_const)
 from betadcov.charfn import MAX_NODES, log_panel_grid, tail_extrapolate
 
 
@@ -118,6 +118,26 @@ def test_node_cap_refuses_before_building():
     nodes, _ = log_panel_grid(QuadConfig(), freq=0.0)
     assert nodes.size < MAX_NODES
     assert issubclass(QuadratureError, RuntimeError)
+
+
+def test_box_kernels_beyond_physical_memory_refused(monkeypatch):
+    k = 300
+    x = np.linspace(0.0, 1.0, k)
+    sp = euclidean(1, 1.0)
+    joint = DiscreteJoint(x, x ** 2, np.full(k, 1.0 / k), sp, sp)
+    # its two stacks of five 0.72 MB kernels, on a machine 1 byte short
+    monkeypatch.setattr(exact, "_physical_memory", lambda: 80 * k * k - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                r"^charfn quadrature at k=300 atoms needs about 7200000 "
+                r"bytes \(0.0 GB\) for two stacks of five k x k box "
+                r"kernels, more than the 0.0 GB of physical memory$")):
+            dcov_charfn_1d(joint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def _listed_log_panel_grid(q, freq=0.0):

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from betadcov import cli
+from betadcov import cli, exact
 from betadcov.cli import main
 from betadcov.inference import SWEEP_METHODS
 from betadcov.io import load_csv
@@ -234,7 +234,7 @@ class TestNonFiniteResults:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("beta, data", [("1", "huge_csv"),
-                                            ("1.9", "big_csv")])
+                                            ("1.9", "bigger_csv")])
     def test_perm_test_overflow_is_exit_3(self, request, beta, data):
         rc, out, err = run_cli(["test", "--input",
                                 request.getfixturevalue(data), "--x-cols",
@@ -244,6 +244,17 @@ class TestNonFiniteResults:
         assert out == ""
         assert err.startswith("error: result is not finite")
         assert err.count("\n") == 1
+
+    def test_perm_test_reports_where_centered_does(self, big_csv):
+        # its weighted sums overflow no sooner than the centered estimator
+        args = ["--input", big_csv, "--x-cols", "x1", "--y-cols", "y1",
+                "--beta", "1.9"]
+        rc, out, _ = run_cli(["test"] + args + ["-B", "19", "--seed", "1"])
+        assert rc == 0
+        observed = json.loads(out)["observed"]
+        rc, out, _ = run_cli(["dcov"] + args + ["--method", "centered"])
+        assert rc == 0
+        assert observed == pytest.approx(json.loads(out)["value"], rel=1e-12)
 
 
 class TestUsageErrors:
@@ -309,6 +320,25 @@ class TestUsageErrors:
 #: a value for every dcov method option
 _OPTION_VALUES = {"seed": "1", "draws": "5", "trunc_m": "3",
                   "grid_panels": "4", "prob_col": "prob"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dcov", "--method", "charfn"], "charfn quadrature at k=2 atoms needs "
+     "about 320 bytes (0.0 GB) for two stacks of five k x k box kernels"),
+    (["converge", "--n-schedule", "10", "--seeds", "1"],
+     "consistency sweep at k=2 atoms needs about 64 bytes (0.0 GB) for two "
+     "k x k distance matrices")])
+def test_joint_beyond_memory_is_one_line(joint_csv, monkeypatch, capsys, argv,
+                                         message):
+    monkeypatch.setattr(exact, "_physical_memory", lambda: 63)
+    rc = main(argv[:1] + ["--input", joint_csv, "--x-cols", "x1", "--y-cols",
+                          "y1", "--prob-col", "prob", "--beta", "1"]
+              + argv[1:])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: %s, more than the 0.0 GB of physical memory\n"
+                   % message)
 
 
 @pytest.mark.parametrize("method,option", [

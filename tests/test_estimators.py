@@ -88,8 +88,8 @@ def test_isometry_invariance(rng):
 def test_symmetry(rng):
     x = rng.normal(size=(15, 1))
     y = rng.normal(size=(15, 2))
-    sample = make_sample(x, y)
-    assert dcov_plugin_d1(sample).value == dcov_plugin_d1(sample.swapped()).value
+    assert dcov_plugin_d1(make_sample(x, y)).value \
+        == dcov_plugin_d1(make_sample(y, x)).value
 
 
 def test_nonnegative(rng):

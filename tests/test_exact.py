@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from betadcov import (DiscreteJoint, consistency_sweep, dcov_exact, euclidean,
-                      hhat_eval, projection_demo, ttilde_eval)
+                      hhat_eval, pairwise_distances, projection_demo, table,
+                      ttilde_eval)
+from betadcov.exact import (_centered_contract, _centered_products,
+                            _d1_contract)
 from conftest import random_joint, random_table_joint
 
 SP1 = euclidean(1, 1.0)
@@ -48,7 +53,7 @@ class TestTtilde:
     def test_conditional_centering(self, rng):
         # summing out the second argument against the marginal gives zero
         joint = random_joint(rng, support=5, beta=1.3)
-        atoms, probs = joint.x_marginal()
+        atoms, probs = joint.x_atoms, joint.probs
         for x1 in atoms:
             total = sum(p * ttilde_eval(x1, x2, atoms, probs, joint.x_spec)
                         for x2, p in zip(atoms, probs))
@@ -56,7 +61,7 @@ class TestTtilde:
 
     def test_mean_zero(self, rng):
         joint = random_joint(rng, support=4, beta=0.8)
-        atoms, probs = joint.x_marginal()
+        atoms, probs = joint.x_atoms, joint.probs
         total = sum(p1 * p2 * ttilde_eval(a1, a2, atoms, probs, joint.x_spec)
                     for a1, p1 in zip(atoms, probs)
                     for a2, p2 in zip(atoms, probs))
@@ -66,7 +71,7 @@ class TestTtilde:
         # the alternating cycle of centered kernels collapses back to the
         # plain alternating distance sum
         joint = random_joint(rng, support=6, beta=1.0, dim_x=2, dim_y=2)
-        atoms, probs = joint.x_marginal()
+        atoms, probs = joint.x_atoms, joint.probs
         spec = joint.x_spec
         for _ in range(20):
             q = atoms[rng.integers(0, len(atoms), size=4)]
@@ -167,7 +172,9 @@ def _weighted_joints(draw):
 
 @given(_weighted_joints())
 def test_property_d3_equals_d1_nonuniform(joint):
-    a, b, w = joint.x_dist(), joint.y_dist(), joint.probs
+    a = pairwise_distances(joint.x_atoms, joint.x_spec)
+    b = pairwise_distances(joint.y_atoms, joint.y_spec)
+    w = joint.probs
     aw, bw = a @ w, b @ w
     # the three pairwise-form terms bound the rounding of both forms
     scale = (abs(w @ (a * b) @ w) + abs((w @ aw) * (w @ bw))
@@ -177,10 +184,65 @@ def test_property_d3_equals_d1_nonuniform(joint):
 
 
 def test_centered_routes_leave_cached_distances_untouched(rng):
-    # the centered contraction reads row views of the cached matrices
+    # the sweep reuses its two matrices across replicates; centered in
+    # place, every replicate after the first would round differently
     joint = random_joint(rng, support=6, dim_x=2, dim_y=2)
-    before = joint.x_dist().tobytes(), joint.y_dist().tobytes()
-    first = dcov_exact(joint, "d3").value
-    consistency_sweep(joint, [3, 40], seeds=[1, 2], method="centered")
-    assert (joint.x_dist().tobytes(), joint.y_dist().tobytes()) == before
-    assert dcov_exact(joint, "d3").value == first
+    seed = 1
+    trace = consistency_sweep(joint, [3, 10, 40, 200], [seed],
+                              method="centered")
+    for n, est, _ in trace.rows:
+        draws = np.random.default_rng([seed, n]).choice(6, size=n,
+                                                        p=joint.probs)
+        w = np.bincount(draws, minlength=6) / n
+        assert est == float(_centered_products(joint.rows, w)[0])
+    assert trace.population == dcov_exact(joint, "d1").value
+
+
+@st.composite
+def _joints_over_blocks(draw):
+    """Euclidean or table joints of 2-16 or 129-300 atoms, the latter
+    over more than one row block, with weights over three decades."""
+    k = draw(st.one_of(st.integers(2, 16), st.integers(129, 300)))
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    beta = draw(st.floats(0.2, 2.5))
+    w = r.uniform(1e-3, 1.0, size=k)
+    if draw(st.booleans()):
+        dx, dy = r.integers(1, 4, size=2)
+        return DiscreteJoint(r.normal(size=(k, dx)), r.normal(size=(k, dy)),
+                             w / w.sum(), euclidean(dx, beta),
+                             euclidean(dy, beta))
+    specs = []
+    for m in r.integers(2, 13, size=2):
+        pts = r.normal(size=(m, 2))
+        specs.append(table(np.linalg.norm(pts[:, None] - pts[None], axis=-1),
+                           beta=beta))
+    sx, sy = specs
+    return DiscreteJoint(r.integers(0, sx.size, size=k),
+                         r.integers(0, sy.size, size=k), w / w.sum(), sx, sy)
+
+
+@given(_joints_over_blocks())
+def test_property_row_sweeps_equal_matrix_contractions(joint):
+    a = pairwise_distances(joint.x_atoms, joint.x_spec)
+    b = pairwise_distances(joint.y_atoms, joint.y_spec)
+    w = joint.probs
+    assert dcov_exact(joint, "d1").value == _d1_contract(a, b, w)
+    assert (dcov_exact(joint, "d3").value
+            == float(_centered_contract(a, b, w)[0]))
+
+
+def test_exact_d1_holds_no_k_by_k_matrix():
+    rng = np.random.default_rng(3)
+    k = 3000
+    x = rng.normal(size=(k, 3))
+    y = x[:, :2] + rng.normal(size=(k, 2))
+    joint = DiscreteJoint(x, y, np.full(k, 1.0 / k), euclidean(3, 1.0),
+                          euclidean(2, 1.0))
+    tracemalloc.start()
+    try:
+        dcov_exact(joint, "d1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one k x k float64 matrix is 72 MB
+    assert peak < 8e6

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from betadcov import (DiscreteJoint, MomentFlags, PairedSample,
-                      consistency_sweep, dcor, dcov_centered, euclidean,
+                      consistency_sweep, dcor, dcov_centered, euclidean, exact,
                       pairwise_distances, perm_test, regime_classify,
                       tail_diagnostic)
 from betadcov.inference import (FINITE, PLUS_INF, TTILDE_UNDEFINED, UNDEFINED,
@@ -293,7 +293,9 @@ class TestConsistencySweep:
         centered = consistency_sweep(joint, schedule, [seed],
                                      method="centered")
         # the weights sum to 1, so max a * max b bounds every term
-        scale = joint.x_dist().max() * joint.y_dist().max() + 1e-300
+        scale = (pairwise_distances(joint.x_atoms, joint.x_spec).max()
+                 * pairwise_distances(joint.y_atoms, joint.y_spec).max()
+                 + 1e-300)
         for row_d1, row_c in zip(d1.rows, centered.rows):
             assert abs(row_c[1] - row_d1[1]) <= 1e-10 * scale
 
@@ -304,6 +306,27 @@ class TestConsistencySweep:
             consistency_sweep(bernoulli_joint, [100, 10], seeds=[1])
         with pytest.raises(ValueError):
             consistency_sweep(bernoulli_joint, [10], seeds=[1], method="bad")
+
+    def test_refuses_beyond_physical_memory_before_allocating(self, rng,
+                                                              monkeypatch):
+        k = 1000
+        joint = random_joint(rng, support=k, dim_x=2, dim_y=2)
+        # its two 8 MB distance matrices, on a machine 1 byte short
+        monkeypatch.setattr(exact, "_physical_memory",
+                            lambda: 16 * k * k - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    r"^consistency sweep at k=1000 atoms needs about "
+                    r"16000000 bytes \(0.0 GB\) for two k x k distance "
+                    r"matrices, more than the 0.0 GB of physical memory$")):
+                consistency_sweep(joint, [10], seeds=[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        monkeypatch.setattr(exact, "_physical_memory", lambda: 16 * k * k)
+        consistency_sweep(joint, [10], seeds=[1])
 
 
 class TestTailDiagnostic:
@@ -333,6 +356,14 @@ class TestRegimeClassify:
         rep = regime_classify(MomentFlags(x_2beta=False, x_beta=True,
                                           hx_l1=True, y_equals_x=True))
         assert rep.def1 == UNDEFINED
+
+    @pytest.mark.parametrize("flags", [
+        MomentFlags(hx_l2=False, y_equals_x=True),
+        MomentFlags(hy_l1=True, hy_l2=False, y_equals_x=True)])
+    def test_diagonal_equalities_cross_after_propagation(self, flags):
+        # hx_l2 (= hy_l2) False forces x_2beta False, which on the
+        # diagonal is the product moment
+        assert regime_classify(flags).def1 == UNDEFINED
 
     def test_diagonal_l1_not_l2_is_infinite(self):
         rep = regime_classify(MomentFlags(hx_l1=True, hx_l2=False,
