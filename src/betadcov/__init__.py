@@ -1,11 +1,13 @@
 """Beta-distance covariance: estimators, exact oracles and diagnostics.
 
-The library computes the beta-powered distance covariance of paired
-data through several independent routes (pairwise products, double
-centering, characteristic-function quadrature, Gaussian projections,
-truncated kernels, and the beta=2 closed form) that cross-validate
-each other, plus a permutation independence test and moment-regime
-diagnostics for heavy-tailed inputs.
+The library computes the beta-powered distance covariance of weighted
+points (DiscreteJoint): a paired sample, weighted 1/n per row
+(PairedSample), or the atoms of a finite joint law. Several
+independent routes (pairwise products, double centering,
+characteristic-function quadrature, Gaussian projections, truncated
+kernels, and the beta=2 closed form) read the same points and
+cross-validate each other; a permutation independence test and
+moment-regime diagnostics for heavy-tailed inputs come with them.
 """
 
 __version__ = "0.1.0"

@@ -21,13 +21,15 @@ def _require_euclidean(sample):
 def cross_cov(sample):
     """Plug-in cross-covariance matrix C[i][j] = Cov(x_i coord, y_j coord).
 
-    Uses divisor n so the closed form below matches the plug-in
+    Means and covariances are weighted by the points' probs (divisor n
+    on a paired sample), so the closed form below matches the plug-in
     distance covariance estimators exactly.
     """
     _require_euclidean(sample)
-    xc = sample.x - sample.x.mean(axis=0)
-    yc = sample.y - sample.y.mean(axis=0)
-    return xc.T @ yc / sample.n
+    w = sample.probs
+    xc = sample.x - w @ sample.x
+    yc = sample.y - w @ sample.y
+    return xc.T @ (w[:, None] * yc)
 
 
 def dcov2_closed(sample):

@@ -106,6 +106,9 @@ def log_panel_grid(q, freq=0.0):
 #: order of the boxes in each axis's kernel stack
 FULL, HALF, TENTH, ORIGIN, BAND = range(5)
 
+#: elements in one block of gap x node phases
+PHASE_BLOCK = 1 << 20
+
 
 def _box_kernels(nodes, w, atoms, q):
     """Regularized cosine transforms of one axis, one k x k kernel per box.
@@ -113,8 +116,11 @@ def _box_kernels(nodes, w, atoms, q):
     The boxes are the nodes <= tmax, <= tmax/2, <= tmax/10, < 10 eps and
     < 2 eps. Entry [b, i, j] is the box-b sum of w(t) * 2 sin^2(t (x_i -
     x_j) / 2), i.e. of w(t) (1 - cos(t (x_i - x_j))). Each distinct gap
-    above the diagonal is evaluated once, in blocks of at most 2^20
-    phase elements.
+    above the diagonal is evaluated once, in blocks of at most
+    PHASE_BLOCK phase elements. Besides the 5 k^2 doubles it returns,
+    it holds at most 14 doubles per atom pair (the index pair, the
+    distinct gaps and their inverse, their five box values and the
+    scattered copy of those), one phase block and 6 doubles per node.
     """
     wm = w[:, None] * np.column_stack([
         np.full(nodes.size, True), nodes <= q.tmax / 2.0,
@@ -123,12 +129,14 @@ def _box_kernels(nodes, w, atoms, q):
     iu, ju = np.triu_indices(k, 1)
     gaps, inv = np.unique(np.abs(atoms[iu] - atoms[ju]), return_inverse=True)
     vals = np.empty((gaps.size, wm.shape[1]))
-    rows = max(1, (1 << 20) // nodes.size)
+    rows = max(1, PHASE_BLOCK // nodes.size)
     for lo in range(0, gaps.size, rows):
         phase = np.multiply.outer(0.5 * gaps[lo:lo + rows], nodes)
         # 1 - cos(x) as 2 sin(x/2)^2, which keeps its digits near x = 0
         np.sin(phase, out=phase)
-        vals[lo:lo + rows] = 2.0 * (np.square(phase, out=phase) @ wm)
+        np.matmul(np.square(phase, out=phase), wm, out=vals[lo:lo + rows])
+        del phase                   # before the next block is allocated
+    vals *= 2.0
     kern = np.zeros((wm.shape[1], k, k))
     kern[:, iu, ju] = kern[:, ju, iu] = vals[inv].T
     return kern
@@ -153,8 +161,8 @@ def dcov_charfn_1d(joint, q=None):
 
     Both marginals must be one-dimensional Euclidean and beta must lie
     in (0, 2). Returns the value plus truncation/origin error estimates
-    in aux. Refuses k atoms whose 80 k^2 bytes of box kernels exceed
-    physical memory.
+    in aux. Refuses k atoms whose box kernels (80 k^2 bytes), gap table
+    and phase block (_box_kernels) exceed physical memory.
     """
     if q is None:
         q = QuadConfig()
@@ -162,20 +170,23 @@ def dcov_charfn_1d(joint, q=None):
         raise ValueError("characteristic-function route needs Euclidean parts")
     if joint.x_spec.dim != 1 or joint.y_spec.dim != 1:
         raise ValueError("this route is one-dimensional on each side")
-    beta = joint.x_spec.beta
+    beta = joint.beta
     if not 0 < beta < 2:
         raise DomainError(
             "the characteristic-function integral diverges for beta >= 2 "
             "and beta=%g is outside (0, 2)" % beta)
-    k = joint.support
-    _require_memory(80 * k * k, "charfn quadrature at k=%d atoms" % k,
-                    "two stacks of five k x k box kernels")
-
-    xs = joint.x_atoms[:, 0]
-    ys = joint.y_atoms[:, 0]
+    xs = joint.x[:, 0]
+    ys = joint.y[:, 0]
     p = joint.probs
     t, wt = log_panel_grid(q, freq=float(xs.max() - xs.min()))
     u, wu = log_panel_grid(q, freq=float(ys.max() - ys.min()))
+    k = joint.n
+    # both stacks, one axis's gap table and phase block, both grids
+    need = 8 * (10 * k * k + 14 * (k * (k - 1) // 2) + PHASE_BLOCK
+                + 8 * (t.size + u.size))
+    _require_memory(need, "charfn quadrature at k=%d atoms" % k,
+                    "two stacks of five k x k box kernels, a gap table "
+                    "and a phase block")
     kx = _box_kernels(t, wt * t ** (-1.0 - beta), xs, q)
     ky = _box_kernels(u, wu * u ** (-1.0 - beta), ys, q)
 
@@ -213,4 +224,4 @@ def dcov_charfn_1d(joint, q=None):
         "nodes_u": int(u.size),
     }
     return DcovEstimate(value=value, method="charfn", beta=beta,
-                        n=joint.support, aux=aux)
+                        n=joint.n, aux=aux)

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .exact import DcovEstimate, DomainError, _d1_rows
+from .exact import DcovEstimate, DiscreteJoint, DomainError, _d1_rows
 from .metric import distance_rows, euclidean, squared_distance_rows
 
 
@@ -55,7 +55,7 @@ def mean_sq_char_gap(joint, r, s):
     """
     def rows(lo, hi):
         return tuple(np.exp(-(c * c / 2.0) * squared_distance_rows(p, lo, hi))
-                     for c, p in ((r, joint.x_atoms), (s, joint.y_atoms)))
+                     for c, p in ((r, joint.x), (s, joint.y)))
 
     return _d1_rows(rows, joint.probs)
 
@@ -68,8 +68,8 @@ def mean_sq_char_gap_mc(joint, r, s, draws, seed):
     modulus of the gap. Returns (mean, stderr).
     """
     rng = np.random.default_rng(seed)
-    x = joint.x_atoms
-    y = joint.y_atoms
+    x = joint.x
+    y = joint.y
     w = joint.probs
     vals = np.empty(draws)
     for i in range(draws):
@@ -83,12 +83,14 @@ def mean_sq_char_gap_mc(joint, r, s, draws, seed):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
 
 
-def _collapse(x, y):
-    """Merge duplicate (x, y) rows into weighted atoms."""
-    stacked = np.hstack([x, y])
-    uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-    w = counts / counts.sum()
-    return uniq[:, : x.shape[1]], uniq[:, x.shape[1]:], w
+def _collapse(points):
+    """Merge equal (x, y) rows into one point of their summed weight."""
+    d = points.x.shape[1]
+    uniq, inv = np.unique(np.hstack([points.x, points.y]), axis=0,
+                          return_inverse=True)
+    w = np.bincount(inv.ravel(), weights=points.probs)
+    return DiscreteJoint(uniq[:, :d], uniq[:, d:], w, points.x_spec,
+                         points.y_spec)
 
 
 def _gaussian_moment(beta):
@@ -100,9 +102,10 @@ def _gaussian_moment(beta):
 def dcov_charrv_mc(sample, draws=2000, seed=None):
     """Monte Carlo beta-distance covariance via Gaussian projections.
 
-    Requires Euclidean parts and beta in (0, 2). Each draw projects
-    both sides onto fresh standard normal directions and computes the
-    exact one-dimensional d1 of the projected atoms; value and stderr
+    Requires Euclidean parts and beta in (0, 2). Equal rows are merged
+    into one point of their summed weight. Each draw projects both
+    sides onto fresh standard normal directions and computes the exact
+    one-dimensional weighted d1 of the projected points; value and stderr
     are the mean and standard error over draws, divided by
     _gaussian_moment(beta)^2. Deterministic for a fixed (seed, draws)
     pair.
@@ -117,7 +120,8 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
     if seed is None:
         raise ValueError("seed is required (no silent nondeterminism)")
 
-    x, y, w = _collapse(sample.x, sample.y)
+    atoms = _collapse(sample)
+    x, y, w = atoms.x, atoms.y, atoms.probs
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(draws)]
     xis = np.stack([rg.standard_normal(x.shape[1]) for rg in streams])
@@ -138,7 +142,7 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
     k2 = _gaussian_moment(beta) ** 2
     value = float(vals.mean()) / k2
     stderr = float(vals.std(ddof=1)) / math.sqrt(draws) / k2
-    aux = {"draws": draws, "grid_nodes": 0, "atoms": int(w.size)}
+    aux = {"draws": draws, "grid_nodes": 0, "atoms": atoms.n}
     return DcovEstimate(value=value, method="charrv", beta=beta,
                         n=sample.n, stderr=stderr, aux=aux)
 
@@ -161,7 +165,7 @@ def h_trunc(x, m, beta):
 
 
 def dcov_hm(sample, m):
-    """Truncated-kernel distance covariance over the empirical law.
+    """Truncated-kernel distance covariance over the law of the points.
 
     Replaces the beta-powered distance by h_trunc of the squared
     distance and evaluates the quarter-mean of the product of the two
@@ -180,6 +184,6 @@ def dcov_hm(sample, m):
         return (h_trunc(squared_distance_rows(sample.x, lo, hi), m, beta),
                 h_trunc(squared_distance_rows(sample.y, lo, hi), m, beta))
 
-    value = _d1_rows(rows, np.full(sample.n, 1.0 / sample.n))
+    value = _d1_rows(rows, sample.probs)
     return DcovEstimate(value=value, method="hm", beta=beta, n=sample.n,
                         aux={"M": float(m)})

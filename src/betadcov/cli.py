@@ -57,16 +57,14 @@ def _load_parts(args, need_y=True):
     return x, y, probs
 
 
-def _load_input(args, kind):
-    """The CSV as a PairedSample (kind "sample") or DiscreteJoint ("joint")."""
+def _load_input(args):
+    """The CSV as weighted points: --prob-col, or weight 1/n per row."""
     x, y, probs = _load_parts(args)
     sx = euclidean(x.shape[1], args.beta)
     sy = euclidean(y.shape[1], args.beta)
-    if kind == "sample":
-        return PairedSample(x, y, sx, sy)
     if probs is None:
-        probs = np.full(len(x), 1.0 / len(x))
-    elif abs(probs.sum() - 1) <= 1e-9:
+        return PairedSample(x, y, sx, sy)
+    if abs(probs.sum() - 1) <= 1e-9:
         probs = probs / probs.sum()
     return DiscreteJoint(x, y, probs, sx, sy)
 
@@ -106,30 +104,28 @@ def _charfn(joint, args):
     return dcov_charfn_1d(joint, q=quad)
 
 
-#: dcov methods: name -> (input kind, options read, builder(input,
-#: args)). A "sample" input is a PairedSample, a "joint" input a
-#: DiscreteJoint weighted by --prob-col. A method refuses every method
-#: option it does not read. Builders look the library functions up when
-#: called.
+#: dcov methods: name -> (options read, builder(points, args)). Every
+#: method reads the points weighted by --prob-col (1/n per row without
+#: it) and refuses every other method option it does not read. Builders
+#: look the library functions up when called.
 METHODS = {
-    "d1": ("sample", (), lambda sample, args: dcov_plugin_d1(sample)),
-    "centered": ("sample", (), lambda sample, args: dcov_centered(sample)),
-    "beta2": ("sample", (), _beta2),
-    "charrv": ("sample", ("seed", "draws"), _charrv),
-    "hm": ("sample", ("trunc_m",), _hm),
-    "exact": ("joint", ("prob_col",),
-              lambda joint, args: dcov_exact(joint, "d1")),
-    "charfn": ("joint", ("prob_col", "grid_panels"), _charfn),
+    "d1": ((), lambda points, args: dcov_plugin_d1(points)),
+    "centered": ((), lambda points, args: dcov_centered(points)),
+    "beta2": ((), _beta2),
+    "charrv": (("seed", "draws"), _charrv),
+    "hm": (("trunc_m",), _hm),
+    "exact": ((), lambda points, args: dcov_exact(points, "d1")),
+    "charfn": (("grid_panels",), _charfn),
 }
 
 
 def _check_options(args):
     """Refuse the first given dcov option that the method does not read."""
-    reads = METHODS[args.method][1]
-    options = sorted({opt for _, opts, _ in METHODS.values() for opt in opts})
+    reads = METHODS[args.method][0]
+    options = sorted({opt for opts, _ in METHODS.values() for opt in opts})
     for opt in options:
         if getattr(args, opt) is not None and opt not in reads:
-            users = [name for name, (_, opts, _) in METHODS.items()
+            users = [name for name, (opts, _) in METHODS.items()
                      if opt in opts]
             raise ValueError("--%s applies only to method%s %s"
                              % (opt.replace("_", "-"),
@@ -140,8 +136,7 @@ def _check_options(args):
 def _cmd_dcov(args):
     start = time.perf_counter()
     _check_options(args)
-    kind, _, build = METHODS[args.method]
-    est = build(_load_input(args, kind), args)
+    est = METHODS[args.method][1](_load_input(args), args)
     report = {"subcommand": "dcov", "method": args.method, "beta": args.beta,
               "seed": args.seed, "value": est.value, "n": est.n,
               "stderr": est.stderr, "error_estimate": None}
@@ -153,7 +148,7 @@ def _cmd_dcov(args):
 
 def _cmd_test(args):
     start = time.perf_counter()
-    res = perm_test(_load_input(args, "sample"), B=args.permutations,
+    res = perm_test(_load_input(args), B=args.permutations,
                     seed=args.seed)
     _emit({"subcommand": "test", "beta": res.beta, "n": res.n,
            "observed": res.observed, "p_value": res.p_value,
@@ -166,7 +161,7 @@ def _cmd_converge(args):
     if not args.prob_col:
         raise ValueError("--prob-col is required: converge needs an exact "
                          "finite joint as the population")
-    joint = _load_input(args, "joint")
+    joint = _load_input(args)
     schedule = [int(v) for v in args.n_schedule.split(",")]
     seeds = [int(v) for v in args.seeds.split(",")]
     trace = consistency_sweep(joint, schedule, seeds, method=args.method)
@@ -282,7 +277,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("dcov", help="distance covariance of a paired sample")
+    p = sub.add_parser("dcov", help="distance covariance of paired rows")
     _sample_args(p)
     p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--seed", type=int, default=None,
@@ -294,7 +289,8 @@ def build_parser():
     p.add_argument("--grid-panels", type=int, default=None,
                    help="quadrature panels per decade for method charfn")
     p.add_argument("--prob-col", default=None,
-                   help="probability column (methods exact/charfn only)")
+                   help="probability column weighting the rows "
+                   "(default: weight 1/n per row)")
     p.set_defaults(func=_cmd_dcov)
 
     p = sub.add_parser("test", help="permutation independence test")

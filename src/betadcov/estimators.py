@@ -1,8 +1,10 @@
-"""Plug-in estimators of beta-distance covariance from paired samples.
+"""Plug-in estimators of beta-distance covariance from weighted points.
 
 All estimators are V-statistics: they evaluate the population
-functional on the empirical measure with weight 1/n per observation,
-matching the finite-support formulas in the exact module.
+functional on the law of the points (exact.DiscreteJoint), each row
+weighted by its prob. A paired sample is the case of weight 1/n per
+observation (PairedSample); on a finite joint the same call gives the
+exact population value.
 
 None of them builds an n x n matrix. They sweep row blocks of the two
 beta-powered distance kernels, recomputed from the points for each
@@ -16,84 +18,55 @@ O(n * block) on top of the points; time is O(n^2 d) per sweep.
 
 import numpy as np
 
-from .exact import DcovEstimate, _centered_products, _d1_rows
-from .metric import as_points, distance_rows, pairwise_distances
+from .exact import DcovEstimate, DiscreteJoint, _centered_products, _d1_rows
+from .metric import pairwise_distances
 
 
-class PairedSample:
-    """n paired observations with one metric spec per side.
+class PairedSample(DiscreteJoint):
+    """n paired observations with one metric spec per side, weight 1/n each.
 
-    The estimators and the permutation test read row blocks of the
-    distance kernels (rows, or metric.distance_rows on x and y). The
-    full distance matrices are built only on request (x_dist, y_dist)
-    and cached; no route of the package calls them.
+    x_dist and y_dist build the full distance matrices on request; no
+    route of the package calls them.
     """
 
     def __init__(self, x_points, y_points, x_spec, y_spec):
-        if x_spec.beta != y_spec.beta:
-            raise ValueError("x and y specs must share one beta")
-        self.x_spec = x_spec
-        self.y_spec = y_spec
-        # column-major, so the coordinate columns that every kernel row
-        # block reads are contiguous
-        self.x = np.asfortranarray(as_points(x_points, x_spec))
-        self.y = np.asfortranarray(as_points(y_points, y_spec))
-        if len(self.x) != len(self.y):
-            raise ValueError("x and y parts must have equal length")
-        self._a = None
-        self._b = None
-
-    @property
-    def n(self):
-        return len(self.x)
-
-    @property
-    def beta(self):
-        return self.x_spec.beta
-
-    def rows(self, lo, hi):
-        """Rows lo:hi of the x and y distance kernels, freshly computed."""
-        return (distance_rows(self.x, self.x_spec, lo, hi),
-                distance_rows(self.y, self.y_spec, lo, hi))
+        n = len(x_points)
+        super().__init__(x_points, y_points, np.ones(n) / n, x_spec, y_spec)
 
     def x_dist(self):
-        if self._a is None:
-            self._a = pairwise_distances(self.x, self.x_spec)
-        return self._a
+        return pairwise_distances(self.x, self.x_spec)
 
     def y_dist(self):
-        if self._b is None:
-            self._b = pairwise_distances(self.y, self.y_spec)
-        return self._b
+        return pairwise_distances(self.y, self.y_spec)
 
 
-def _uniform_weights(sample):
-    """Weight 1/n per observation; refuses fewer than two observations."""
-    if sample.n < 2:
-        raise ValueError("need at least 2 observations, got %d" % sample.n)
-    return np.full(sample.n, 1.0 / sample.n)
+def _probs(points):
+    """The weights of points; refuses fewer than two points."""
+    if points.n < 2:
+        raise ValueError("need at least 2 observations, got %d" % points.n)
+    return points.probs
 
 
 def dcov_plugin_d1(sample):
     """Pairwise-form plug-in estimator.
 
-    With a_ij, b_ij the beta-powered distance matrices the value is
-    (1/n^2) sum a_ij b_ij + (mean a)(mean b) - (2/n^3) sum_i (sum_j a_ij)(sum_k b_ik).
+    With a_ij, b_ij the beta-powered distance matrices and w the weights
+    the value is sum_ij w_i w_j a_ij b_ij + (w'a w)(w'b w)
+    - 2 sum_i w_i (a w)_i (b w)_i.
     """
-    w = _uniform_weights(sample)
-    value = _d1_rows(sample.rows, w)
+    value = _d1_rows(sample.rows, _probs(sample))
     return DcovEstimate(value=value, method="d1", beta=sample.beta, n=sample.n)
 
 
 def dcov_centered(sample):
     """Doubly centered plug-in estimator.
 
-    Centers both distance matrices by row mean, column mean and grand
-    mean, then averages the entrywise product. Algebraically equal to
-    dcov_plugin_d1; numerically they agree within 1e-9.
+    Centers both distance matrices by weighted row mean, column mean and
+    grand mean, then takes the weighted mean of the entrywise product.
+    Algebraically equal to dcov_plugin_d1; numerically they agree within
+    1e-9.
     """
-    w = _uniform_weights(sample)
-    value = float(_centered_products(sample.rows, w)[0])
+    value = float(_centered_products(sample.rows, _probs(sample))[0])
     return DcovEstimate(value=value, method="centered", beta=sample.beta,
                         n=sample.n)
 
@@ -105,8 +78,8 @@ def dcor(sample):
     dcov(y, y), all via the centered estimator and taken from one
     two-sweep contraction. Raises if either marginal is degenerate.
     """
-    w = _uniform_weights(sample)
-    vxy, vxx, vyy = (float(v) for v in _centered_products(sample.rows, w))
+    sums = _centered_products(sample.rows, _probs(sample))
+    vxy, vxx, vyy = (float(v) for v in sums)
     if vxx <= 0 or vyy <= 0:
         raise ValueError("degenerate marginal: dcov(x,x)=%g, dcov(y,y)=%g"
                          % (vxx, vyy))

@@ -12,9 +12,12 @@ machine precision through three independent routes:
 All three agree on finite support; that agreement is the main oracle
 for every estimator in this package.
 
-A DiscreteJoint holds no distance matrix: d1 and d3 sweep row blocks
-of its kernels (DiscreteJoint.rows) through the contractions the sample
-estimators share, _d1_rows and _centered_products. Only d2 builds them.
+DiscreteJoint is the package's one weighted-points type: a paired
+sample is the joint with weight 1/n per row (estimators.PairedSample),
+and every route reads the same x, y and probs. It holds no distance
+matrix: d1 and d3 sweep row blocks of its kernels (DiscreteJoint.rows)
+through _d1_rows and _centered_products, the contractions the sample
+estimators call on the same points. Only d2 builds the matrices.
 """
 
 import os
@@ -74,55 +77,52 @@ class DcovEstimate:
 
 
 class DiscreteJoint:
-    """Finite-support joint distribution of an (X, Y) pair.
+    """Weighted points of an (X, Y) pair: a finite-support joint law.
 
-    Atoms are given as parallel arrays of x-points and y-points with a
-    probability vector that must sum to 1 within 1e-12.
+    Points are given as parallel arrays of x-points and y-points with a
+    probability vector that must sum to 1 within 1e-12; a paired sample
+    is the case of equal weights 1/n (estimators.PairedSample). Both
+    metric specs must share one beta. Every route reads the points from
+    x, y and probs, and the kernels from rows.
     """
 
-    def __init__(self, x_atoms, y_atoms, probs, x_spec, y_spec):
+    def __init__(self, x_points, y_points, probs, x_spec, y_spec):
+        if x_spec.beta != y_spec.beta:
+            raise ValueError("x and y specs must share one beta")
         self.x_spec = x_spec
         self.y_spec = y_spec
-        self.x_atoms = as_points(x_atoms, x_spec)
-        self.y_atoms = as_points(y_atoms, y_spec)
+        # column-major, so the coordinate columns that every kernel row
+        # block reads are contiguous
+        self.x = np.asfortranarray(as_points(x_points, x_spec))
+        self.y = np.asfortranarray(as_points(y_points, y_spec))
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty vector")
-        if len(self.x_atoms) != p.size or len(self.y_atoms) != p.size:
-            raise ValueError("atoms and probs must have equal length")
+            raise ValueError("need a nonempty vector of probs, one per point")
+        if len(self.x) != p.size or len(self.y) != p.size:
+            raise ValueError("x, y and probs must have equal length")
         if np.any(p <= 0):
             raise ValueError("probabilities must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities sum to %.17g, not 1" % p.sum())
         self.probs = p
-
-    @property
-    def support(self):
-        return self.probs.size
+        self.n = p.size
+        self.beta = x_spec.beta
 
     def rows(self, lo, hi):
         """Rows lo:hi of the x and y distance kernels, freshly computed."""
-        return (distance_rows(self.x_atoms, self.x_spec, lo, hi),
-                distance_rows(self.y_atoms, self.y_spec, lo, hi))
+        return (distance_rows(self.x, self.x_spec, lo, hi),
+                distance_rows(self.y, self.y_spec, lo, hi))
 
     @classmethod
-    def product(cls, x_atoms, x_probs, y_atoms, y_probs, x_spec, y_spec):
+    def product(cls, x_points, x_probs, y_points, y_probs, x_spec, y_spec):
         """Independent product law of two finite marginals."""
         px = np.asarray(x_probs, dtype=float)
         py = np.asarray(y_probs, dtype=float)
-        xa = as_points(x_atoms, x_spec)
-        ya = as_points(y_atoms, y_spec)
+        xa = as_points(x_points, x_spec)
+        ya = as_points(y_points, y_spec)
         ix, iy = np.meshgrid(np.arange(px.size), np.arange(py.size), indexing="ij")
         probs = np.outer(px, py).ravel()
         return cls(xa[ix.ravel()], ya[iy.ravel()], probs, x_spec, y_spec)
-
-    @classmethod
-    def empirical(cls, x_points, y_points, x_spec, y_spec):
-        """Empirical measure of a paired sample, one atom per row, weight 1/n."""
-        xa = as_points(x_points, x_spec)
-        ya = as_points(y_points, y_spec)
-        n = len(xa)
-        return cls(xa, ya, np.full(n, 1.0 / n), x_spec, y_spec)
 
 
 def hhat_eval(x1, x2, x3, x4, spec):
@@ -224,8 +224,8 @@ def _dcov_d2(joint, cap):
     k = w.size
     if k > cap:
         raise ValueError("support %d exceeds the quadruple-sum cap %d" % (k, cap))
-    a = pairwise_distances(joint.x_atoms, joint.x_spec)
-    b = pairwise_distances(joint.y_atoms, joint.y_spec)
+    a = pairwise_distances(joint.x, joint.x_spec)
+    b = pairwise_distances(joint.y, joint.y_spec)
     total = np.empty(k)
     for i in range(k):
         # hx[j,k,l] = a[i,j] - a[j,k] + a[k,l] - a[l,i], one slab per i
@@ -252,8 +252,8 @@ def dcov_exact(joint, method="d1", d2_cap=D2_SUPPORT_CAP):
         value = float(_centered_products(joint.rows, joint.probs)[0])
     else:
         raise ValueError("unknown method %r" % method)
-    return DcovEstimate(value=value, method=method,
-                        beta=joint.x_spec.beta, n=joint.support)
+    return DcovEstimate(value=value, method=method, beta=joint.beta,
+                        n=joint.n)
 
 
 def projection_demo():
@@ -266,11 +266,11 @@ def projection_demo():
     larger.
     """
     bits = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    x_atoms = [(b0, b1) for b0, b1, _ in bits]
-    y_atoms = [(b0, b2) for b0, _, b2 in bits]
+    xs = [(b0, b1) for b0, b1, _ in bits]
+    ys = [(b0, b2) for b0, _, b2 in bits]
     probs = np.full(8, 1.0 / 8)
     spec2 = euclidean(2, beta=1.0)
-    full = DiscreteJoint(x_atoms, y_atoms, probs, spec2, spec2)
+    full = DiscreteJoint(xs, ys, probs, spec2, spec2)
     spec1 = euclidean(1, beta=1.0)
     proj = DiscreteJoint([(b0,) for b0, _, _ in bits],
                          [(b0,) for b0, _, _ in bits], probs, spec1, spec1)

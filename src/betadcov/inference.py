@@ -41,7 +41,9 @@ def perm_test(sample, B=199, seed=None):
     the Cauchy-Schwarz bound on both, so statistics that tie in exact
     arithmetic (as on lattice data) count whatever their rounding. Every
     sum carries the weight 1/n^2 per entry, put on each x block once. A
-    non-finite observed statistic raises DomainError.
+    non-finite observed statistic raises DomainError. Relabeling treats
+    the rows as exchangeable, so points whose weights are not all equal
+    are refused.
 
     The doubly centered y kernel cb is the one n x n array: it is built
     once and centered in place. The x kernel is swept in row blocks,
@@ -58,11 +60,13 @@ def perm_test(sample, B=199, seed=None):
         raise ValueError("need at least 19 permutations")
     if seed is None:
         raise ValueError("seed is required (no silent nondeterminism)")
+    w = sample.probs
+    if np.any(w != w[0]):
+        raise ValueError("the permutation test needs equally weighted points")
     n = sample.n
     _require_memory(8 * n * n + 8 * B * n,
                     "permutation test at n=%d, B=%d" % (n, B),
                     "one n x n matrix and the permutations")
-    w = np.full(n, 1.0 / n)
     cb = pairwise_distances(sample.y, sample.y_spec)
     for _ in _centered_rows(lambda lo, hi: (cb[lo:hi],), w):
         pass                                # centers cb in place
@@ -129,11 +133,11 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
         raise ValueError("sample sizes must be increasing")
     if method not in SWEEP_METHODS:
         raise ValueError("method must be %s" % " or ".join(SWEEP_METHODS))
-    k = joint.support
+    k = joint.n
     _require_memory(16 * k * k, "consistency sweep at k=%d atoms" % k,
                     "two k x k distance matrices")
-    a = pairwise_distances(joint.x_atoms, joint.x_spec)
-    b = pairwise_distances(joint.y_atoms, joint.y_spec)
+    a = pairwise_distances(joint.x, joint.x_spec)
+    b = pairwise_distances(joint.y, joint.y_spec)
     population = _d1_contract(a, b, joint.probs)
     rows = []
     for n in schedule:

@@ -59,7 +59,7 @@ def test_criterion_02_plugin_identity():
             y = x + rng.normal(size=(n, 2))
             sx = euclidean(2, beta)
             sample = PairedSample(x, y, sx, sx)
-            joint = DiscreteJoint.empirical(x, y, sx, sx)
+            joint = DiscreteJoint(x, y, np.full(n, 1.0 / n), sx, sx)
             oracle = dcov_exact(joint, "d1").value
             worst_d1 = max(worst_d1, abs(dcov_plugin_d1(sample).value - oracle))
             worst_c = max(worst_c, abs(dcov_centered(sample).value - oracle))

@@ -7,8 +7,8 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from betadcov import (DcovEstimate, DiscreteJoint, DomainError, QuadConfig,
-                      QuadratureError, c_const, dcov_charfn_1d, dcov_exact,
-                      euclidean, exact, scale_const)
+                      QuadratureError, c_const, charfn, dcov_charfn_1d,
+                      dcov_exact, euclidean, exact, scale_const)
 from betadcov.charfn import MAX_NODES, log_panel_grid, tail_extrapolate
 
 
@@ -125,19 +125,54 @@ def test_box_kernels_beyond_physical_memory_refused(monkeypatch):
     x = np.linspace(0.0, 1.0, k)
     sp = euclidean(1, 1.0)
     joint = DiscreteJoint(x, x ** 2, np.full(k, 1.0 / k), sp, sp)
-    # its two stacks of five 0.72 MB kernels, on a machine 1 byte short
-    monkeypatch.setattr(exact, "_physical_memory", lambda: 80 * k * k - 1)
+    # two stacks of five 0.72 MB kernels, one axis's gap table, an 8 MB
+    # phase block and two 2176-node grids, on a machine 1 byte short
+    need = 8 * (10 * k * k + 14 * (k * (k - 1) // 2) + (1 << 20)
+                + 8 * (2176 + 2176))
+    monkeypatch.setattr(exact, "_physical_memory", lambda: need - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=(
-                r"^charfn quadrature at k=300 atoms needs about 7200000 "
+                r"^charfn quadrature at k=300 atoms needs about %d "
                 r"bytes \(0.0 GB\) for two stacks of five k x k box "
-                r"kernels, more than the 0.0 GB of physical memory$")):
+                r"kernels, a gap table and a phase block, more than the "
+                r"0.0 GB of physical memory$" % need)):
             dcov_charfn_1d(joint)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+#: a grid of 40-odd nodes per axis: the phase work is (distinct gaps) x
+#: nodes, and a block still fills PHASE_BLOCK from k = 300 on
+_COARSE = QuadConfig(eps=1e-3, tmax=1e2, points_per_panel=2)
+
+
+@pytest.mark.parametrize("k, q", [(100, QuadConfig()), (300, _COARSE),
+                                  (600, _COARSE)])
+def test_peak_within_counted_bytes(monkeypatch, k, q):
+    sp = euclidean(1, 1.0)
+    # first-call allocations that persist (caches) are not the call's
+    dcov_charfn_1d(DiscreteJoint([0.0, 1.0], [0.0, 1.0], [0.5, 0.5], sp, sp))
+    # distinct gaps throughout, the largest gap table k atoms can have
+    rng = np.random.default_rng(k)
+    x = rng.uniform(size=k)
+    joint = DiscreteJoint(x, x + rng.uniform(size=k), np.full(k, 1.0 / k),
+                          sp, sp)
+    counted = []
+    require = charfn._require_memory
+    monkeypatch.setattr(charfn, "_require_memory",
+                        lambda need, *args: counted.append(need)
+                        or require(need, *args))
+    tracemalloc.start()
+    try:
+        dcov_charfn_1d(joint, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
 
 
 def _listed_log_panel_grid(q, freq=0.0):
@@ -231,8 +266,8 @@ def _ref_charfn_1d(joint, q=None, chunk=256):
             "the characteristic-function integral diverges for beta >= 2 "
             "and beta=%g is outside (0, 2)" % beta)
 
-    xs = joint.x_atoms[:, 0]
-    ys = joint.y_atoms[:, 0]
+    xs = joint.x[:, 0]
+    ys = joint.y[:, 0]
     p = joint.probs
     t, wt_raw = log_panel_grid(q, freq=float(xs.max() - xs.min()))
     u, wu_raw = log_panel_grid(q, freq=float(ys.max() - ys.min()))
@@ -294,7 +329,7 @@ def _ref_charfn_1d(joint, q=None, chunk=256):
         "nodes_u": int(u.size),
     }
     return DcovEstimate(value=value, method="charfn", beta=beta,
-                        n=joint.support, aux=aux)
+                        n=joint.n, aux=aux)
 
 
 def _longdouble_origin(joint, q=QuadConfig()):
@@ -318,8 +353,8 @@ def _longdouble_origin(joint, q=QuadConfig()):
         return 4 * (np.sum(p[:, None] * p[None, :] * (a * b))
                     + (p @ aw) * (p @ bw) - 2 * np.sum(p * (aw * bw)))
 
-    (ax, ax_o, ax_b), (by, by_o, by_b) = (kernels(joint.x_atoms[:, 0]),
-                                          kernels(joint.y_atoms[:, 0]))
+    (ax, ax_o, ax_b), (by, by_o, by_b) = (kernels(joint.x[:, 0]),
+                                          kernels(joint.y[:, 0]))
     c2 = ld(c_const(1, beta)) ** 2
     origin_err = c2 * (box(ax_o, by) + box(ax, by_o))
     origin_corr = (c2 * (box(ax_b, by) + box(ax, by_b))

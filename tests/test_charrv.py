@@ -22,7 +22,8 @@ def _projections(sample, draws, seed):
     """Atom weights and per-draw projections of both sides, with the
     directions drawn as the quadrature route drew them: one spawned
     stream per draw, xi first and then eta."""
-    x, y, w = _collapse(sample.x, sample.y)
+    atoms = _collapse(sample)
+    x, y, w = atoms.x, atoms.y, atoms.probs
     streams = _streams(seed, draws)
     xis = np.stack([rg.standard_normal(x.shape[1]) for rg in streams])
     etas = np.stack([rg.standard_normal(y.shape[1]) for rg in streams])
@@ -149,11 +150,11 @@ class TestCharRV:
             eta = rng.standard_normal(1)
             r, s = rng.uniform(0.1, 3.0, size=2)
             w = joint.probs
-            px = joint.x_atoms @ xi
-            py = joint.y_atoms @ eta
+            px = joint.x @ xi
+            py = joint.y @ eta
             together = np.sum(w * np.exp(1j * (r * px + s * py)))
-            apart = (char_rv(joint.x_atoms, w, xi, r)
-                     * char_rv(joint.y_atoms, w, eta, s))
+            apart = (char_rv(joint.x, w, xi, r)
+                     * char_rv(joint.y, w, eta, s))
             assert abs(together - apart) <= 1e-12
 
 
@@ -307,7 +308,7 @@ class TestProjectionDraws:
         assert est.value == float(vals.mean()) / k2
         assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(16) / k2
         assert est.aux == {"draws": 16, "grid_nodes": 0,
-                           "atoms": _collapse(sample.x, sample.y)[2].size}
+                           "atoms": _collapse(sample).n}
 
     def test_directions_are_bit_identical(self, monkeypatch):
         # unit-vector atoms project to the direction coordinates exactly,
@@ -331,7 +332,7 @@ class TestProjectionDraws:
             np.testing.assert_array_equal(seen[2 * i][:, 0], px[:, i])
             np.testing.assert_array_equal(seen[2 * i + 1][:, 0], py[:, i])
         xis = np.stack([rg.standard_normal(3) for rg in _streams(23, 7)])
-        atoms = _collapse(sample.x, sample.y)[0]
+        atoms = _collapse(sample).x
         np.testing.assert_array_equal(px, xis[:, atoms.argmax(axis=1)].T)
 
     @_CASES
@@ -415,7 +416,7 @@ class TestFoldedTable:
     def test_matches_four_contraction_reference(self, beta, dim, collapsed):
         sample = _case(beta, dim, collapsed)
         if collapsed:
-            assert _collapse(sample.x, sample.y)[2].size <= 12
+            assert _collapse(sample).n <= 12
         est = dcov_charrv_mc(sample, draws=16, seed=23)
         ref_value, ref_stderr = _ref_charrv_mc(sample, draws=16, seed=23)
         assert est.value == pytest.approx(ref_value, rel=1e-10)

@@ -9,7 +9,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from betadcov import cli, exact
+from betadcov import (DiscreteJoint, cli, dcov2_closed, dcov_centered,
+                      dcov_charfn_1d, dcov_charrv_mc, dcov_exact, dcov_hm,
+                      dcov_plugin_d1, euclidean, exact)
 from betadcov.cli import main
 from betadcov.inference import SWEEP_METHODS
 from betadcov.io import load_csv
@@ -278,6 +280,25 @@ class TestUsageErrors:
         rc, _, _ = run_cli(["frobnicate"])
         assert rc == 2
 
+    @pytest.mark.parametrize("rows, method, beta, message", [
+        ("", "d1", "1", "no data rows"),
+        ("1,2\n", "d1", "1", "need at least 2 observations, got 1"),
+        ("1,2\n", "centered", "1", "need at least 2 observations, got 1"),
+        ("1,2\n", "hm", "1", "need at least 2 observations, got 1"),
+        ("1,2\n", "beta2", "2", "need at least 2 observations")])
+    def test_empty_or_one_row_sample_is_one_line(self, tmp_path, capsys,
+                                                  rows, method, beta,
+                                                  message):
+        path = tmp_path / "short.csv"
+        path.write_text("x1,y1\n" + rows)
+        rc = main(["dcov", "--input", str(path), "--x-cols", "x1",
+                   "--y-cols", "y1", "--beta", beta, "--method", method])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+        assert err.count("\n") == 1
+
     def test_threads_flag_is_gone(self):
         rc, out, err = run_cli(["constants", "--ell", "1", "--beta", "1",
                                 "--threads", "2"])
@@ -303,28 +324,55 @@ class TestUsageErrors:
                               "about %d bytes" % (n, B, 8 * n * (n + B)))
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("method",
-                             ["d1", "centered", "beta2", "charrv", "hm"])
-    def test_prob_col_rejected_for_sample_methods(self, joint_csv, capsys,
-                                                  method):
-        rc = main(["dcov", "--input", joint_csv, "--x-cols", "x1",
-                   "--y-cols", "y1", "--beta", "1", "--method", method,
-                   "--seed", "1", "--prob-col", "prob"])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        assert err == ("error: --prob-col applies only to methods exact "
-                       "and charfn\n")
-
 
 #: a value for every dcov method option
 _OPTION_VALUES = {"seed": "1", "draws": "5", "trunc_m": "3",
-                  "grid_panels": "4", "prob_col": "prob"}
+                  "grid_panels": "4"}
+
+#: per method: beta, extra options, the library call on the same points
+_WEIGHTED_CALLS = {
+    "d1": ("1", [], dcov_plugin_d1),
+    "centered": ("1", [], dcov_centered),
+    "beta2": ("2", [], dcov2_closed),
+    "charrv": ("1", ["--seed", "1", "--draws", "5"],
+               lambda pts: dcov_charrv_mc(pts, draws=5, seed=1)),
+    "hm": ("1", ["--trunc-m", "3"], lambda pts: dcov_hm(pts, 3.0)),
+    "exact": ("1", [], lambda pts: dcov_exact(pts, "d1")),
+    "charfn": ("1", [], dcov_charfn_1d),
+}
+
+
+def test_weighted_calls_cover_every_method():
+    assert set(_WEIGHTED_CALLS) == set(cli.METHODS)
+
+
+@pytest.mark.parametrize("method", sorted(_WEIGHTED_CALLS))
+def test_every_method_reads_prob_col(tmp_path, capsys, method):
+    # unequal weights, and one (x, y) row given twice
+    rows = [(0, 0.5, 0.1), (1, 0.2, 0.15), (2, 1.5, 0.3), (0.5, 2.5, 0.15),
+            (3, 2, 0.25), (1, 0.2, 0.05)]
+    path = tmp_path / "weighted.csv"
+    path.write_text("x1,y1,prob\n" + "".join("%r,%r,%r\n" % r for r in rows))
+    beta, extra, call = _WEIGHTED_CALLS[method]
+    argv = ["dcov", "--input", str(path), "--x-cols", "x1", "--y-cols", "y1",
+            "--beta", beta, "--method", method] + extra
+    reports = []
+    for prob in ([], ["--prob-col", "prob"]):
+        assert main(argv + prob) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    data = np.array(rows, dtype=float)
+    spec = euclidean(1, float(beta))
+    probs = data[:, 2] / data[:, 2].sum()
+    points = DiscreteJoint(data[:, :1], data[:, 1:2], probs, spec, spec)
+    assert reports[1]["value"] == call(points).value
+    assert reports[1]["n"] == len(rows)
+    assert reports[1]["value"] != reports[0]["value"]
 
 
 @pytest.mark.parametrize("argv, message", [
     (["dcov", "--method", "charfn"], "charfn quadrature at k=2 atoms needs "
-     "about 320 bytes (0.0 GB) for two stacks of five k x k box kernels"),
+     "about 8667568 bytes (0.0 GB) for two stacks of five k x k box "
+     "kernels, a gap table and a phase block"),
     (["converge", "--n-schedule", "10", "--seeds", "1"],
      "consistency sweep at k=2 atoms needs about 64 bytes (0.0 GB) for two "
      "k x k distance matrices")])
@@ -342,7 +390,7 @@ def test_joint_beyond_memory_is_one_line(joint_csv, monkeypatch, capsys, argv,
 
 
 @pytest.mark.parametrize("method,option", [
-    (method, option) for method, (_, reads, _) in cli.METHODS.items()
+    (method, option) for method, (reads, _) in cli.METHODS.items()
     for option in _OPTION_VALUES if option not in reads])
 def test_unread_method_option_is_refused(joint_csv, capsys, method, option):
     flag = "--" + option.replace("_", "-")
@@ -350,7 +398,7 @@ def test_unread_method_option_is_refused(joint_csv, capsys, method, option):
                "y1", "--beta", "1", "--method", method, flag,
                _OPTION_VALUES[option]])
     out, err = capsys.readouterr()
-    readers = [name for name, (_, reads, _) in cli.METHODS.items()
+    readers = [name for name, (reads, _) in cli.METHODS.items()
                if option in reads]
     assert rc == 2
     assert out == ""
@@ -359,7 +407,7 @@ def test_unread_method_option_is_refused(joint_csv, capsys, method, option):
 
 
 def test_every_method_option_has_a_reader():
-    read = {opt for _, reads, _ in cli.METHODS.values() for opt in reads}
+    read = {opt for reads, _ in cli.METHODS.values() for opt in reads}
     assert read == set(_OPTION_VALUES)
 
 

@@ -43,8 +43,8 @@ def test_plugin_identity_with_exact(rng):
         x = rng.normal(size=(40, 2))
         y = x[:, :1] + rng.normal(size=(40, 1))
         sample = make_sample(x, y, beta)
-        joint = DiscreteJoint.empirical(sample.x, sample.y,
-                                        sample.x_spec, sample.y_spec)
+        joint = DiscreteJoint(x, y, np.full(40, 1.0 / 40), sample.x_spec,
+                              sample.y_spec)
         assert dcov_plugin_d1(sample).value == pytest.approx(
             dcov_exact(joint, "d1").value, abs=1e-10)
 
@@ -134,3 +134,10 @@ def test_validation():
                      euclidean(1, 1.0))
     with pytest.raises(ValueError):
         PairedSample([[0.0]], [[0.0]], euclidean(1, 1.0), euclidean(1, 2.0))
+
+
+def test_empty_sample_is_refused():
+    # not a ZeroDivisionError from the weights 1/n
+    sp = euclidean(1, 1.0)
+    with pytest.raises(ValueError, match="^need a nonempty vector of probs"):
+        PairedSample([], [], sp, sp)

@@ -16,6 +16,14 @@ from conftest import random_joint, random_table_joint
 SP1 = euclidean(1, 1.0)
 
 
+def test_specs_with_different_beta_are_refused():
+    # a joint used to report the x beta; a sample always refused
+    with pytest.raises(ValueError, match="^x and y specs must share one "
+                       "beta$"):
+        DiscreteJoint([[0.0], [1.0]], [[0.0], [1.0]], [0.5, 0.5], SP1,
+                      euclidean(1, 0.5))
+
+
 class TestHhat:
     def test_all_equal(self):
         assert hhat_eval(2.0, 2.0, 2.0, 2.0, SP1) == 0.0
@@ -53,7 +61,7 @@ class TestTtilde:
     def test_conditional_centering(self, rng):
         # summing out the second argument against the marginal gives zero
         joint = random_joint(rng, support=5, beta=1.3)
-        atoms, probs = joint.x_atoms, joint.probs
+        atoms, probs = joint.x, joint.probs
         for x1 in atoms:
             total = sum(p * ttilde_eval(x1, x2, atoms, probs, joint.x_spec)
                         for x2, p in zip(atoms, probs))
@@ -61,7 +69,7 @@ class TestTtilde:
 
     def test_mean_zero(self, rng):
         joint = random_joint(rng, support=4, beta=0.8)
-        atoms, probs = joint.x_atoms, joint.probs
+        atoms, probs = joint.x, joint.probs
         total = sum(p1 * p2 * ttilde_eval(a1, a2, atoms, probs, joint.x_spec)
                     for a1, p1 in zip(atoms, probs)
                     for a2, p2 in zip(atoms, probs))
@@ -71,7 +79,7 @@ class TestTtilde:
         # the alternating cycle of centered kernels collapses back to the
         # plain alternating distance sum
         joint = random_joint(rng, support=6, beta=1.0, dim_x=2, dim_y=2)
-        atoms, probs = joint.x_atoms, joint.probs
+        atoms, probs = joint.x, joint.probs
         spec = joint.x_spec
         for _ in range(20):
             q = atoms[rng.integers(0, len(atoms), size=4)]
@@ -172,8 +180,8 @@ def _weighted_joints(draw):
 
 @given(_weighted_joints())
 def test_property_d3_equals_d1_nonuniform(joint):
-    a = pairwise_distances(joint.x_atoms, joint.x_spec)
-    b = pairwise_distances(joint.y_atoms, joint.y_spec)
+    a = pairwise_distances(joint.x, joint.x_spec)
+    b = pairwise_distances(joint.y, joint.y_spec)
     w = joint.probs
     aw, bw = a @ w, b @ w
     # the three pairwise-form terms bound the rounding of both forms
@@ -223,8 +231,8 @@ def _joints_over_blocks(draw):
 
 @given(_joints_over_blocks())
 def test_property_row_sweeps_equal_matrix_contractions(joint):
-    a = pairwise_distances(joint.x_atoms, joint.x_spec)
-    b = pairwise_distances(joint.y_atoms, joint.y_spec)
+    a = pairwise_distances(joint.x, joint.x_spec)
+    b = pairwise_distances(joint.y, joint.y_spec)
     w = joint.probs
     assert dcov_exact(joint, "d1").value == _d1_contract(a, b, w)
     assert (dcov_exact(joint, "d3").value

@@ -73,6 +73,20 @@ class TestPermTest:
         with pytest.raises(ValueError):
             perm_test(make_sample(x, x), B=99)
 
+    def test_refuses_unequal_weights(self):
+        # relabeling rows treats them as exchangeable, which unequal
+        # weights are not; equal weights from a prob column are a sample
+        x = np.arange(8.0)
+        sp = euclidean(1, 1.0)
+        w = np.arange(1.0, 9.0)
+        with pytest.raises(ValueError, match="^the permutation test needs "
+                           "equally weighted points$"):
+            perm_test(DiscreteJoint(x, x ** 2, w / w.sum(), sp, sp), B=19,
+                      seed=1)
+        equal = perm_test(DiscreteJoint(x, x ** 2, np.full(8, 0.125), sp, sp),
+                          B=19, seed=1)
+        assert equal == perm_test(make_sample(x, x ** 2), B=19, seed=1)
+
     def test_refuses_beyond_physical_memory_before_allocating(self):
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         B = 19
@@ -293,8 +307,8 @@ class TestConsistencySweep:
         centered = consistency_sweep(joint, schedule, [seed],
                                      method="centered")
         # the weights sum to 1, so max a * max b bounds every term
-        scale = (pairwise_distances(joint.x_atoms, joint.x_spec).max()
-                 * pairwise_distances(joint.y_atoms, joint.y_spec).max()
+        scale = (pairwise_distances(joint.x, joint.x_spec).max()
+                 * pairwise_distances(joint.y, joint.y_spec).max()
                  + 1e-300)
         for row_d1, row_c in zip(d1.rows, centered.rows):
             assert abs(row_c[1] - row_d1[1]) <= 1e-10 * scale

@@ -14,7 +14,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from betadcov import (DiscreteJoint, PairedSample, QuadratureError,
+from betadcov import (DiscreteJoint, PairedSample, QuadratureError, dcor,
                       dcov2_closed, dcov_centered, dcov_charfn_1d,
                       dcov_charrv_mc, dcov_exact, dcov_hm, dcov_plugin_d1,
                       euclidean, pairwise_distances)
@@ -129,13 +129,13 @@ def test_hm_homogeneous_with_scaled_truncation(xy, beta, c):
 
 
 @st.composite
-def _joints(draw, dims=(1, 2)):
+def _joints(draw, dims=(1, 2), coords=_coords):
     """2-10 atoms with positive weights, x scaled later by the test."""
     k = draw(st.integers(2, 10))
     dx = draw(st.sampled_from(dims))
     dy = draw(st.sampled_from(dims))
-    xa = draw(arrays(np.float64, (k, dx), elements=_coords))
-    ya = draw(arrays(np.float64, (k, dy), elements=_coords))
+    xa = draw(arrays(np.float64, (k, dx), elements=coords))
+    ya = draw(arrays(np.float64, (k, dy), elements=coords))
     w = np.array(draw(st.lists(st.integers(1, 20), min_size=k, max_size=k)),
                  dtype=float)
     return xa, ya, w / w.sum()
@@ -174,3 +174,127 @@ def test_charfn_homogeneous_within_error_estimates(joint, beta, c):
 
     assert abs(scaled.value - c ** beta * base.value) <= (
         err(scaled) + c ** beta * err(base) + 1e-12)
+
+
+def _charfn(points):
+    try:
+        return dcov_charfn_1d(points)
+    except QuadratureError:
+        reject()
+
+
+def _charfn_err(est):
+    return est.aux["trunc_err"] + est.aux["origin_err"]
+
+
+#: route -> (value of weighted points, rotation invariant, rounding
+#: slack of two values a and b beyond 1e-12 of the kernel scale)
+_INVARIANT_ROUTES = {
+    "centered": (lambda pts: dcov_centered(pts).value, True, None),
+    "hm": (lambda pts: dcov_hm(pts, 10.0).value, True, None),
+    "exact-d1": (lambda pts: dcov_exact(pts, "d1").value, True, None),
+    "exact-d3": (lambda pts: dcov_exact(pts, "d3").value, True, None),
+    # the grid follows the span of the data, which the shift may round,
+    # so the two values agree within their error estimates
+    "charfn": (_charfn, False,
+               lambda a, b: _charfn_err(a) + _charfn_err(b)),
+}
+
+
+def _isometry(points, shift, angle, rotate):
+    """points shifted, then rotated by angle (reflected in one dimension)."""
+    moved = points + shift[:points.shape[1]]
+    if not rotate:
+        return moved
+    if points.shape[1] == 1:
+        return -moved
+    c, s = np.cos(angle), np.sin(angle)
+    return moved @ np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("route", sorted(_INVARIANT_ROUTES))
+@settings(max_examples=40)
+@given(st.data(), _betas, arrays(np.float64, 4, elements=st.floats(-4, 4)),
+       st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi))
+def test_routes_invariant_under_isometries(route, data, beta, shift, tx, ty):
+    # lattice atoms are 1/8 apart or equal, so the rounding of a shifted
+    # or rotated coordinate moves every gap by at most 1e-14 relative
+    call, rotate, slack = _INVARIANT_ROUTES[route]
+    xa, ya, p = data.draw(_joints(dims=(1, 2) if rotate else (1,),
+                                  coords=_lattice))
+    base = call(_joint(xa, ya, p, beta))
+    moved = call(_joint(_isometry(xa, shift, tx, rotate),
+                        _isometry(ya, shift[2:], ty, rotate), p, beta))
+    tol = 1e-12 * _kernel_scale(xa, ya, beta)
+    if slack is None:
+        assert abs(moved - base) <= tol
+    else:
+        assert abs(moved.value - base.value) <= tol + slack(base, moved)
+
+
+def _dcor_or_error(points):
+    try:
+        return dcor(points)
+    except ValueError as exc:
+        return str(exc).split(":")[0]
+
+
+def _term_scale(pts):
+    """|t1| + |t2| + 2 |t3| of the three d1 terms of the points' kernels."""
+    a = pairwise_distances(pts.x, pts.x_spec)
+    b = pairwise_distances(pts.y, pts.y_spec)
+    w = pts.probs
+    aw, bw = a @ w, b @ w
+    return w @ (a * b) @ w + (w @ aw) * (w @ bw) + 2.0 * w @ (aw * bw)
+
+
+def _kernels(pts):
+    return _kernel_scale(pts.x, pts.y, pts.beta)
+
+
+def _coordinates(pts):
+    """4 max x^2 max y^2, which bounds the beta = 2 value and its means."""
+    return 4.0 * np.max(pts.x ** 2) * np.max(pts.y ** 2)
+
+
+#: route -> (a float of the points or an error label, the scale of the
+#: weighted points its rounding is measured against, beta or None for
+#: the drawn one); hm's kernels and the projections are bounded by the
+#: distance kernels
+_WEIGHT_ROUTES = {
+    "d1": (lambda pts: dcov_plugin_d1(pts).value, _term_scale, None),
+    "centered": (lambda pts: dcov_centered(pts).value, _term_scale, None),
+    "hm": (lambda pts: dcov_hm(pts, 10.0).value, _kernels, None),
+    "charrv": (lambda pts: dcov_charrv_mc(pts, draws=8, seed=5).value,
+               _kernels, None),
+    "dcor": (_dcor_or_error, lambda pts: 1.0, None),
+    "beta2": (lambda pts: dcov2_closed(pts).value, _coordinates, 2.0),
+}
+
+
+@st.composite
+def _counted_points(draw):
+    """2-6 points with integer multiplicities 1-5, 1-2 dimensions a side."""
+    k = draw(st.integers(2, 6))
+    x, y = draw(_samples(n_min=k, n_max=k))
+    m = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+    return x, y, m
+
+
+@pytest.mark.parametrize("route", sorted(_WEIGHT_ROUTES))
+@settings(max_examples=40)
+@given(_counted_points(), _betas)
+def test_weights_equal_repeated_rows(route, xym, beta):
+    # weights m_i / M give the law of the sample with row i repeated m_i
+    # times; the two differ only in the order of their sums
+    x, y, m = xym
+    call, scale, fixed = _WEIGHT_ROUTES[route]
+    beta = fixed or beta
+    points = _joint(x, y, m / m.sum(), beta)
+    weighted = call(points)
+    repeated = call(_sample(np.repeat(x, m, axis=0), np.repeat(y, m, axis=0),
+                            beta))
+    if isinstance(weighted, str) or isinstance(repeated, str):
+        assert weighted == repeated
+    else:
+        assert abs(weighted - repeated) <= 1e-12 * scale(points)
