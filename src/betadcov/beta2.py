@@ -8,7 +8,7 @@ the two vectors are uncorrelated.
 
 import numpy as np
 
-from .exact import DcovEstimate
+from .exact import DcovEstimate, DomainError
 
 
 def _require_euclidean(sample):
@@ -36,8 +36,12 @@ def dcov2_closed(sample):
     """Distance covariance at beta = 2 via 4 * ||cross_cov||_F^2.
 
     Agrees with the generic doubly centered estimator at beta = 2
-    within 1e-10.
+    within 1e-10; points whose specs have another beta raise
+    DomainError.
     """
+    if sample.beta != 2.0:
+        raise DomainError(
+            "the cross-covariance closed form is specific to beta=2")
     c = cross_cov(sample)
     value = 4.0 * float(np.sum(c * c))
     return DcovEstimate(value=value, method="beta2", beta=2.0, n=sample.n)

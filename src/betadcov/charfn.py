@@ -8,11 +8,12 @@ oscillation frequency of the trigonometric sums, and a one-step
 tail extrapolation for the outer cutoff.
 
 Nothing is formed on a two-dimensional grid. Over the four sign
-quadrants the integrand is 4 * _d1_contract of the kernels cos(t gap_x)
-and cos(u gap_y), so each box integral is 4 * _d1_contract(A, B, p),
-with A and B the per-axis box integrals of w (1 - cos) (the contraction
-ignores constants): one stack of five box kernels per axis and nine
-contractions give every box the extrapolation and error estimates need.
+quadrants the integrand is 4 * exact._d1_rows of the kernels
+cos(t gap_x) and cos(u gap_y), so each box integral is 4 * _d1_rows
+over the row slices of A and B, the per-axis box integrals of
+w (1 - cos) (the contraction ignores constants): one stack of five box
+kernels per axis and nine contractions give every box the
+extrapolation and error estimates need.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import DcovEstimate, DomainError, _d1_contract, _require_memory
+from .exact import DcovEstimate, DomainError, _d1_rows, _require_memory
 
 
 class QuadratureError(RuntimeError):
@@ -191,7 +192,8 @@ def dcov_charfn_1d(joint, q=None):
     ky = _box_kernels(u, wu * u ** (-1.0 - beta), ys, q)
 
     def box(bt, bu):
-        return 4.0 * _d1_contract(kx[bt], ky[bu], p)
+        return 4.0 * _d1_rows(
+            lambda lo, hi: (kx[bt, lo:hi], ky[bu, lo:hi]), p)
 
     full = box(FULL, FULL)
     ht, th, hh = box(HALF, FULL), box(FULL, HALF), box(HALF, HALF)

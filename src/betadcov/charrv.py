@@ -102,16 +102,18 @@ def _gaussian_moment(beta):
 def dcov_charrv_mc(sample, draws=2000, seed=None):
     """Monte Carlo beta-distance covariance via Gaussian projections.
 
-    Requires Euclidean parts and beta in (0, 2). Equal rows are merged
-    into one point of their summed weight. Each draw projects both
-    sides onto fresh standard normal directions and computes the exact
-    one-dimensional weighted d1 of the projected points; value and stderr
-    are the mean and standard error over draws, divided by
-    _gaussian_moment(beta)^2. Deterministic for a fixed (seed, draws)
-    pair.
+    Requires Euclidean parts, at least two rows and beta in (0, 2).
+    Equal rows are merged into one point of their summed weight. Each
+    draw projects both sides onto fresh standard normal directions and
+    computes the exact one-dimensional weighted d1 of the projected
+    points; value and stderr are the mean and standard error over
+    draws, divided by _gaussian_moment(beta)^2. Deterministic for a
+    fixed (seed, draws) pair.
     """
     if sample.x_spec.kind != "euclidean" or sample.y_spec.kind != "euclidean":
         raise ValueError("Gaussian projection route needs Euclidean parts")
+    if sample.n < 2:
+        raise ValueError("need at least 2 observations, got %d" % sample.n)
     beta = sample.beta
     if not 0 < beta < 2:
         raise DomainError("beta must lie in (0, 2), got %g" % beta)

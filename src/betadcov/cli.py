@@ -75,13 +75,6 @@ def _max_sq_distance(pts):
                for lo, hi in row_blocks(len(pts)))
 
 
-def _beta2(sample, args):
-    if args.beta != 2.0:
-        raise DomainError(
-            "the cross-covariance closed form is specific to beta=2")
-    return dcov2_closed(sample)
-
-
 def _charrv(sample, args):
     if args.seed is None:
         raise ValueError("--seed is required for method charrv")
@@ -111,7 +104,7 @@ def _charfn(joint, args):
 METHODS = {
     "d1": ((), lambda points, args: dcov_plugin_d1(points)),
     "centered": ((), lambda points, args: dcov_centered(points)),
-    "beta2": ((), _beta2),
+    "beta2": ((), lambda points, args: dcov2_closed(points)),
     "charrv": (("seed", "draws"), _charrv),
     "hm": (("trunc_m",), _hm),
     "exact": ((), lambda points, args: dcov_exact(points, "d1")),

@@ -17,7 +17,9 @@ sample is the joint with weight 1/n per row (estimators.PairedSample),
 and every route reads the same x, y and probs. It holds no distance
 matrix: d1 and d3 sweep row blocks of its kernels (DiscreteJoint.rows)
 through _d1_rows and _centered_products, the contractions the sample
-estimators call on the same points. Only d2 builds the matrices.
+estimators and the consistency sweep call on the same points: O(k^2 d)
+time and O(k * block) memory per contraction. Only d2 builds the
+matrices.
 """
 
 import os
@@ -174,11 +176,6 @@ def _d1_rows(rows, w):
     return value
 
 
-def _d1_contract(a, b, w):
-    """_d1_rows over the row slices of two kernel matrices a, b."""
-    return _d1_rows(lambda lo, hi: (a[lo:hi], b[lo:hi]), w)
-
-
 def _centered_rows(rows, w):
     """Doubly centered row blocks of symmetric kernels under weights w.
 
@@ -212,11 +209,6 @@ def _centered_products(rows, w):
         sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
     _require_finite(sums, np.sqrt(sums[1:]))
     return sums
-
-
-def _centered_contract(a, b, w):
-    """_centered_products over row slices of a, b, copied to keep a, b."""
-    return _centered_products(lambda i, j: (a[i:j].copy(), b[i:j].copy()), w)
 
 
 def _dcov_d2(joint, cap):

@@ -3,17 +3,19 @@
 The permutation test calibrates the plug-in distance covariance under
 the independence null by relabeling one sample. The consistency sweep
 measures how fast the plug-in estimator approaches the exact
-population value of a finite joint. The tail diagnostic and the
-regime classifier deal with heavy tails: the former is an empirical
-heuristic, the latter turns analyst-supplied moment facts into a
-per-definition finite / infinite / undefined verdict.
+population value of a finite joint; each replicate reweights the
+joint's atoms and sweeps their kernel rows, at O(n + k^2 d) time and
+O(k * block) memory for n draws over k atoms. The tail diagnostic
+and the regime classifier deal with heavy tails: the former is an
+empirical heuristic, the latter turns analyst-supplied moment facts
+into a per-definition finite / infinite / undefined verdict.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import (_centered_contract, _centered_rows, _d1_contract,
+from .exact import (_centered_products, _centered_rows, _d1_rows,
                     _require_finite, _require_memory)
 from .metric import as_points, distance_rows, pairwise_distances, row_blocks
 
@@ -122,9 +124,10 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
     For each sample size draws atom indices from the joint, evaluates
     the weighted plug-in estimator on the resampled weights, and
     reports the median estimate and median absolute error over seeds.
-    The two k x k distance matrices (16 k^2 bytes, refused beyond
-    physical memory) are built once; every replicate contracts copies of
-    their rows, at a cost of O(n + k^2).
+    The population and every replicate sweep the joint's kernel rows
+    (DiscreteJoint.rows) with the resampled weights, so a replicate
+    costs O(n + k^2 d) time and O(k * block) memory; no k x k matrix is
+    held.
     """
     schedule = [int(n) for n in n_schedule]
     if not schedule:
@@ -134,11 +137,7 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
     if method not in SWEEP_METHODS:
         raise ValueError("method must be %s" % " or ".join(SWEEP_METHODS))
     k = joint.n
-    _require_memory(16 * k * k, "consistency sweep at k=%d atoms" % k,
-                    "two k x k distance matrices")
-    a = pairwise_distances(joint.x, joint.x_spec)
-    b = pairwise_distances(joint.y, joint.y_spec)
-    population = _d1_contract(a, b, joint.probs)
+    population = _d1_rows(joint.rows, joint.probs)
     rows = []
     for n in schedule:
         ests = []
@@ -148,9 +147,9 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
                                  minlength=k)
             w = counts / n
             if method == "d1":
-                ests.append(_d1_contract(a, b, w))
+                ests.append(_d1_rows(joint.rows, w))
             else:
-                ests.append(float(_centered_contract(a, b, w)[0]))
+                ests.append(float(_centered_products(joint.rows, w)[0]))
         ests = np.asarray(ests)
         rows.append((n, float(np.median(ests)),
                      float(np.median(np.abs(ests - population)))))

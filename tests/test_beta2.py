@@ -4,9 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from betadcov import (DiscreteJoint, PairedSample, cross_cov, dcov2_closed,
-                      dcov_centered, dcov_exact, euclidean, hhat_eval, table,
-                      ttilde_eval)
+from betadcov import (DiscreteJoint, DomainError, PairedSample, cross_cov,
+                      dcov2_closed, dcov_centered, dcov_exact, euclidean,
+                      hhat_eval, table, ttilde_eval)
 
 SP2 = euclidean(1, 2.0)
 
@@ -121,4 +121,14 @@ def test_refuses_table_metric():
     tab = table([[0.0, 1.0], [1.0, 0.0]], beta=2.0)
     sample = PairedSample([0, 1], [0, 1], tab, tab)
     with pytest.raises(ValueError):
+        dcov2_closed(sample)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.9])
+def test_refuses_beta_other_than_two(rng, beta):
+    spec = euclidean(1, beta)
+    x = rng.normal(size=20)
+    sample = PairedSample(x, x + rng.normal(size=20), spec, spec)
+    with pytest.raises(DomainError, match="^the cross-covariance closed "
+                       "form is specific to beta=2$"):
         dcov2_closed(sample)

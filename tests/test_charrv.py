@@ -9,7 +9,12 @@ from betadcov import (DiscreteJoint, DomainError, PairedSample, QuadConfig,
                       mean_sq_char_gap_mc, scale_const)
 from betadcov.charfn import log_panel_grid
 from betadcov.charrv import _collapse, _gaussian_moment
-from betadcov.exact import _d1_contract, _d1_rows
+from betadcov.exact import _d1_rows
+
+
+def _contract(a, b, w):
+    """The shared contraction _d1_rows over row slices of a, b."""
+    return _d1_rows(lambda lo, hi: (a[lo:hi], b[lo:hi]), w)
 
 
 def _streams(seed, draws):
@@ -362,8 +367,8 @@ class TestProjectionDraws:
                     for p in (px[:, i], py[:, i]))
             cp, cq = (_old_cosine_kernel(p, deltas, table, iu, ju)
                       for p in (px[:, i], py[:, i]))
-            old = c2 * _d1_contract(cp, cq, w)
-            new = _d1_contract(a, b, w) / k2
+            old = c2 * _contract(cp, cq, w)
+            new = _contract(a, b, w) / k2
             err = c2 * (size(np.abs(cp - big_k * a), np.abs(cq))
                         + big_k * size(a, np.abs(cq - big_k * b)))
             assert abs(old - new) <= err
@@ -436,5 +441,5 @@ class TestFoldedTable:
             cp, sp = hermitian(k)
             cq, sq = hermitian(k)
             whole = _ref_contract_c(-cp + 1j * sp, -cq + 1j * sq, w)
-            split = _d1_contract(cp, cq, w) - _d1_contract(sp, sq, w)
+            split = _contract(cp, cq, w) - _contract(sp, sq, w)
             assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)

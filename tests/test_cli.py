@@ -285,14 +285,17 @@ class TestUsageErrors:
         ("1,2\n", "d1", "1", "need at least 2 observations, got 1"),
         ("1,2\n", "centered", "1", "need at least 2 observations, got 1"),
         ("1,2\n", "hm", "1", "need at least 2 observations, got 1"),
-        ("1,2\n", "beta2", "2", "need at least 2 observations")])
+        ("1,2\n", "beta2", "2", "need at least 2 observations"),
+        ("1,2\n", "charrv", "1", "need at least 2 observations, got 1")])
     def test_empty_or_one_row_sample_is_one_line(self, tmp_path, capsys,
                                                   rows, method, beta,
                                                   message):
         path = tmp_path / "short.csv"
         path.write_text("x1,y1\n" + rows)
+        seed = ["--seed", "1"] if method == "charrv" else []
         rc = main(["dcov", "--input", str(path), "--x-cols", "x1",
-                   "--y-cols", "y1", "--beta", beta, "--method", method])
+                   "--y-cols", "y1", "--beta", beta, "--method", method]
+                  + seed)
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
@@ -372,10 +375,7 @@ def test_every_method_reads_prob_col(tmp_path, capsys, method):
 @pytest.mark.parametrize("argv, message", [
     (["dcov", "--method", "charfn"], "charfn quadrature at k=2 atoms needs "
      "about 8667568 bytes (0.0 GB) for two stacks of five k x k box "
-     "kernels, a gap table and a phase block"),
-    (["converge", "--n-schedule", "10", "--seeds", "1"],
-     "consistency sweep at k=2 atoms needs about 64 bytes (0.0 GB) for two "
-     "k x k distance matrices")])
+     "kernels, a gap table and a phase block")])
 def test_joint_beyond_memory_is_one_line(joint_csv, monkeypatch, capsys, argv,
                                          message):
     monkeypatch.setattr(exact, "_physical_memory", lambda: 63)

@@ -5,6 +5,8 @@ perfbench/ collects every name that is read (a name, an attribute, an
 imported name, or a string that is a dotted identifier, as getattr,
 monkeypatch and __all__ take them). A function, class or non-dunder
 method defined in src/betadcov that none of them names is dead code.
+A private (_-prefixed) one must be named in src/ itself: a helper that
+only tests call is dead code too.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/betadcov/*.py"))
-FILES = sorted(set(ROOT.glob("src/**/*.py")) | set(ROOT.glob("tests/*.py"))
+SOURCES = sorted(ROOT.glob("src/**/*.py"))
+FILES = sorted(set(SOURCES) | set(ROOT.glob("tests/*.py"))
                | set(ROOT.glob("perfbench/*.py")))
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
@@ -59,12 +62,29 @@ def test_finds_a_dead_definition():
         (4, "dead")]
 
 
+def dead_definitions(package, sources, others):
+    """(path, line, name) of definitions in package named nowhere.
+
+    package maps paths to their source; sources and others are the
+    sources of src/ and of every other file scanned.
+    """
+    in_src = set().union(*map(named, sources))
+    anywhere = in_src.union(*map(named, others))
+    return [(path, line, name) for path, source in package.items()
+            for line, name in definitions(source)
+            if name not in (in_src if name.startswith("_") else anywhere)]
+
+
+def test_private_definition_named_only_in_tests_is_dead():
+    source = "def _helper():\n    pass\ndef public():\n    pass\n"
+    test = "_helper()\npublic()\n"
+    assert dead_definitions({"m.py": source}, [source], [test]) == [
+        ("m.py", 1, "_helper")]
+
+
 def test_every_definition_is_named():
-    names = set()
-    for path in FILES:
-        names |= named(path.read_text())
-    dead = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
-            for path in PACKAGE
-            for line, name in definitions(path.read_text())
-            if name not in names]
-    assert dead == []
+    dead = dead_definitions(
+        {path.relative_to(ROOT): path.read_text() for path in PACKAGE},
+        [path.read_text() for path in SOURCES],
+        [path.read_text() for path in FILES if path not in SOURCES])
+    assert ["%s:%d %s" % d for d in dead] == []

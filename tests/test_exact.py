@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 from betadcov import (DiscreteJoint, consistency_sweep, dcov_exact, euclidean,
                       hhat_eval, pairwise_distances, projection_demo, table,
                       ttilde_eval)
-from betadcov.exact import (_centered_contract, _centered_products,
-                            _d1_contract)
+from betadcov.exact import _centered_products, _d1_rows
 from conftest import random_joint, random_table_joint
 
 SP1 = euclidean(1, 1.0)
@@ -191,18 +190,26 @@ def test_property_d3_equals_d1_nonuniform(joint):
     assert abs(dcov_exact(joint, "d3").value - d1) <= 1e-10 * scale
 
 
-def test_centered_routes_leave_cached_distances_untouched(rng):
-    # the sweep reuses its two matrices across replicates; centered in
-    # place, every replicate after the first would round differently
+_SWEEP_CONTRACTIONS = {
+    "d1": lambda joint, w: _d1_rows(joint.rows, w),
+    "centered": lambda joint, w: float(_centered_products(joint.rows, w)[0]),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_SWEEP_CONTRACTIONS))
+def test_centered_routes_leave_cached_distances_untouched(rng, method):
+    # every replicate contracts freshly computed kernel rows under its
+    # resampled weights, which may be zero, and centering them in place
+    # changes nothing that a later replicate reads
     joint = random_joint(rng, support=6, dim_x=2, dim_y=2)
     seed = 1
     trace = consistency_sweep(joint, [3, 10, 40, 200], [seed],
-                              method="centered")
+                              method=method)
     for n, est, _ in trace.rows:
         draws = np.random.default_rng([seed, n]).choice(6, size=n,
                                                         p=joint.probs)
         w = np.bincount(draws, minlength=6) / n
-        assert est == float(_centered_products(joint.rows, w)[0])
+        assert est == _SWEEP_CONTRACTIONS[method](joint, w)
     assert trace.population == dcov_exact(joint, "d1").value
 
 
@@ -234,9 +241,11 @@ def test_property_row_sweeps_equal_matrix_contractions(joint):
     a = pairwise_distances(joint.x, joint.x_spec)
     b = pairwise_distances(joint.y, joint.y_spec)
     w = joint.probs
-    assert dcov_exact(joint, "d1").value == _d1_contract(a, b, w)
-    assert (dcov_exact(joint, "d3").value
-            == float(_centered_contract(a, b, w)[0]))
+    assert dcov_exact(joint, "d1").value == _d1_rows(
+        lambda lo, hi: (a[lo:hi], b[lo:hi]), w)
+    # copies, since the centering writes into the rows it is given
+    assert dcov_exact(joint, "d3").value == float(_centered_products(
+        lambda lo, hi: (a[lo:hi].copy(), b[lo:hi].copy()), w)[0])
 
 
 def test_exact_d1_holds_no_k_by_k_matrix():

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from betadcov import (DiscreteJoint, MomentFlags, PairedSample,
-                      consistency_sweep, dcor, dcov_centered, euclidean, exact,
-                      pairwise_distances, perm_test, regime_classify,
-                      tail_diagnostic)
+                      consistency_sweep, dcor, dcov_centered, dcov_exact,
+                      euclidean, exact, pairwise_distances, perm_test,
+                      regime_classify, tail_diagnostic)
 from betadcov.inference import (FINITE, PLUS_INF, TTILDE_UNDEFINED, UNDEFINED,
                                 UNKNOWN)
 from conftest import random_joint
@@ -321,26 +321,23 @@ class TestConsistencySweep:
         with pytest.raises(ValueError):
             consistency_sweep(bernoulli_joint, [10], seeds=[1], method="bad")
 
-    def test_refuses_beyond_physical_memory_before_allocating(self, rng,
-                                                              monkeypatch):
+    def test_holds_no_k_by_k_matrix(self, rng, monkeypatch):
         k = 1000
         joint = random_joint(rng, support=k, dim_x=2, dim_y=2)
-        # its two 8 MB distance matrices, on a machine 1 byte short
+        # one byte short of two 8 MB distance matrices, which the sweep
+        # does not build: it sweeps kernel rows
         monkeypatch.setattr(exact, "_physical_memory",
                             lambda: 16 * k * k - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=(
-                    r"^consistency sweep at k=1000 atoms needs about "
-                    r"16000000 bytes \(0.0 GB\) for two k x k distance "
-                    r"matrices, more than the 0.0 GB of physical memory$")):
-                consistency_sweep(joint, [10], seeds=[1])
+            for method in ("d1", "centered"):
+                trace = consistency_sweep(joint, [10, 100], seeds=[1, 2],
+                                          method=method)
+                assert trace.population == dcov_exact(joint, "d1").value
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        monkeypatch.setattr(exact, "_physical_memory", lambda: 16 * k * k)
-        consistency_sweep(joint, [10], seeds=[1])
 
 
 class TestTailDiagnostic:
