@@ -15,7 +15,7 @@ def _require_euclidean(sample):
     if sample.x_spec.kind != "euclidean" or sample.y_spec.kind != "euclidean":
         raise ValueError("cross-covariance closed form needs Euclidean parts")
     if sample.n < 2:
-        raise ValueError("need at least 2 observations")
+        raise ValueError("need at least 2 observations, got %d" % sample.n)
 
 
 def cross_cov(sample):

@@ -13,11 +13,17 @@ with kappa = E|N(0,1)|^beta = 2^(beta/2) Gamma((beta+1)/2) / sqrt(pi).
 The d1 form is bilinear in its two kernels and xi, eta are
 independent, so E d1(xi.X, eta.Y) = kappa^2 d1(X, Y), where
 d1(xi.X, eta.Y) is the exact one-dimensional plug-in d1 of the
-projected atoms with kernel |gap|^beta. Each draw is that d1, computed
-by the shared contraction over row blocks of the projected distances;
-the estimate is the mean over draws divided by kappa^2 (the
-random-projection estimator of Huo and Szekely 2016, with Gaussian
-directions).
+projected atoms with kernel |gap|^beta. The norm of a standard normal
+xi in R^p is independent of its direction u = xi / |xi|, and d1 is
+homogeneous of degree beta per side, so E d1(xi.X, eta.Y) =
+E|xi|^beta E|eta|^beta E d1(u.X, v.Y): the route averages over the
+directions only, with the norms taken at their expectation, which
+removes the heavy-tailed |xi|^beta |eta|^beta factor from every draw
+and cannot raise the variance. Each draw is the d1 of the projections
+onto the two unit directions, computed by the shared contraction over
+row blocks of the projected distances; the estimate is the mean over
+draws times E|xi|^beta E|eta|^beta / kappa^2 (the random-projection
+estimator of Huo and Szekely 2016, with uniform directions).
 """
 
 import math
@@ -93,10 +99,14 @@ def _collapse(points):
                          points.y_spec)
 
 
-def _gaussian_moment(beta):
-    """E|xi|^beta for standard normal xi: 2^(b/2) Gamma((b+1)/2) / sqrt(pi)."""
-    return (2.0 ** (beta / 2.0) * math.gamma((beta + 1.0) / 2.0)
-            / math.sqrt(math.pi))
+def _gaussian_moment(beta, dim=1):
+    """E|xi|^beta for standard normal xi in R^dim.
+
+    2^(b/2) Gamma((dim+b)/2) / Gamma(dim/2), from log-gammas so that no
+    dimension overflows; at dim = 1 it is E|N(0,1)|^beta.
+    """
+    return math.exp(beta / 2.0 * math.log(2.0)
+                    + math.lgamma((dim + beta) / 2.0) - math.lgamma(dim / 2.0))
 
 
 def dcov_charrv_mc(sample, draws=2000, seed=None):
@@ -104,11 +114,14 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
 
     Requires Euclidean parts, at least two rows and beta in (0, 2).
     Equal rows are merged into one point of their summed weight. Each
-    draw projects both sides onto fresh standard normal directions and
-    computes the exact one-dimensional weighted d1 of the projected
-    points; value and stderr are the mean and standard error over
-    draws, divided by _gaussian_moment(beta)^2. Deterministic for a
-    fixed (seed, draws) pair.
+    draw projects both sides onto fresh standard normal directions,
+    scaled to unit length, and computes the exact one-dimensional
+    weighted d1 of the projected points; value and stderr are the mean
+    and standard error over draws, times E|xi|^beta E|eta|^beta /
+    kappa^2 (_gaussian_moment). With one-dimensional parts the
+    unit directions are +-1, every draw is the exact d1 and the stderr
+    is 0 up to the rounding of the mean. Deterministic for a fixed
+    (seed, draws) pair.
     """
     if sample.x_spec.kind != "euclidean" or sample.y_spec.kind != "euclidean":
         raise ValueError("Gaussian projection route needs Euclidean parts")
@@ -128,8 +141,9 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
                for s in np.random.SeedSequence(seed).spawn(draws)]
     xis = np.stack([rg.standard_normal(x.shape[1]) for rg in streams])
     etas = np.stack([rg.standard_normal(y.shape[1]) for rg in streams])
-    px = x @ xis.T     # atom x draw projections
-    py = y @ etas.T
+    # atom x draw projections onto the unit directions
+    px = x @ (xis / np.linalg.norm(xis, axis=1)[:, None]).T
+    py = y @ (etas / np.linalg.norm(etas, axis=1)[:, None]).T
     spec = euclidean(1, beta)
 
     def rows(lo, hi):
@@ -141,9 +155,11 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
         p, q = px[:, i:i + 1], py[:, i:i + 1]
         vals[i] = _d1_rows(rows, w)
 
-    k2 = _gaussian_moment(beta) ** 2
-    value = float(vals.mean()) / k2
-    stderr = float(vals.std(ddof=1)) / math.sqrt(draws) / k2
+    # E|xi|^beta E|eta|^beta / kappa^2, which is 1 for 1-D parts
+    scale = math.prod(_gaussian_moment(beta, d) / _gaussian_moment(beta)
+                      for d in (x.shape[1], y.shape[1]))
+    value = float(vals.mean()) * scale
+    stderr = float(vals.std(ddof=1)) / math.sqrt(draws) * scale
     aux = {"draws": draws, "grid_nodes": 0, "atoms": atoms.n}
     return DcovEstimate(value=value, method="charrv", beta=beta,
                         n=sample.n, stderr=stderr, aux=aux)
@@ -157,8 +173,8 @@ def h_trunc(x, m, beta):
     x^e - M^e expm1(e log1p(x/M)) with e = b/2, which avoids the
     cancellation of M^e against (x+M)^e when M is much larger than x.
     """
-    if m <= 0:
-        raise ValueError("M must be positive")
+    if not 0 < m < math.inf:
+        raise ValueError("M must be a positive finite number, got %g" % m)
     if not 0 < beta < 2:
         raise DomainError("beta must lie in (0, 2), got %g" % beta)
     x = np.asarray(x, dtype=float)

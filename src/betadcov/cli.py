@@ -19,7 +19,8 @@ from .beta2 import dcov2_closed
 from .charfn import QuadConfig, QuadratureError, c_const, dcov_charfn_1d
 from .charrv import dcov_charrv_mc, dcov_hm
 from .estimators import PairedSample, dcov_centered, dcov_plugin_d1
-from .exact import DiscreteJoint, DomainError, dcov_exact, projection_demo
+from .exact import (DiscreteJoint, DomainError, _require_finite, dcov_exact,
+                    projection_demo)
 from .inference import (SWEEP_METHODS, MomentFlags, consistency_sweep,
                         perm_test, regime_classify, tail_diagnostic)
 from .io import load_csv, parse_columns
@@ -27,9 +28,23 @@ from .metric import euclidean, row_blocks, squared_distance_rows
 
 
 def _emit(report, start, stream=None):
+    """Write report as one line of strict JSON; refuse NaN and infinity."""
     report["wall_time_s"] = time.perf_counter() - start
-    (stream or sys.stdout).write(
-        json.dumps(report, sort_keys=True) + "\n")
+    try:
+        line = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DomainError("the %s report holds a value that is not finite"
+                          % report["subcommand"]) from None
+    (stream or sys.stdout).write(line + "\n")
+
+
+def _int_list(text, option):
+    """Comma separated integers of an option's value."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError("%s must be comma separated integers, got %r"
+                         % (option, text)) from None
 
 
 def _sample_args(p, need_y=True):
@@ -85,8 +100,10 @@ def _charrv(sample, args):
 def _hm(sample, args):
     m = args.trunc_m
     if m is None:
-        m = 1e6 * max(_max_sq_distance(sample.x), _max_sq_distance(sample.y),
-                      1.0)
+        sq = (_max_sq_distance(sample.x), _max_sq_distance(sample.y))
+        m = 1e6 * max(*sq, 1.0)
+        # a default level beyond the double range is the data's scale
+        _require_finite(m, sq)
     return dcov_hm(sample, m)
 
 
@@ -155,8 +172,8 @@ def _cmd_converge(args):
         raise ValueError("--prob-col is required: converge needs an exact "
                          "finite joint as the population")
     joint = _load_input(args)
-    schedule = [int(v) for v in args.n_schedule.split(",")]
-    seeds = [int(v) for v in args.seeds.split(",")]
+    schedule = _int_list(args.n_schedule, "--n-schedule")
+    seeds = _int_list(args.seeds, "--seeds")
     trace = consistency_sweep(joint, schedule, seeds, method=args.method)
     if args.format == "csv":
         out = ["n,median_estimate,median_abs_error,population"]

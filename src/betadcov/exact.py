@@ -18,8 +18,9 @@ and every route reads the same x, y and probs. It holds no distance
 matrix: d1 and d3 sweep row blocks of its kernels (DiscreteJoint.rows)
 through _d1_rows and _centered_products, the contractions the sample
 estimators and the consistency sweep call on the same points: O(k^2 d)
-time and O(k * block) memory per contraction. Only d2 builds the
-matrices.
+time and O(k * block) memory per contraction. Both take one weight
+vector or a k x R matrix of weight columns, which one sweep contracts
+all at once. Only d2 builds the matrices.
 """
 
 import os
@@ -42,14 +43,17 @@ def _require_finite(values, sizes):
     """Raise DomainError unless all values are finite.
 
     sizes are typical kernel entries (means, or root mean squares of
-    centered entries, which read inf once the squares overflow).
+    centered entries, which read inf once the squares overflow); of an
+    array of them, one per weight column, the largest in magnitude is
+    shown.
     """
     if not np.all(np.isfinite(values)):
         raise DomainError(
             "result is not finite: at this data scale the kernels or their "
             "products overflow double precision (typical kernel entries "
             "%s); divide each side by a power of 2, c, and multiply the "
-            "value by c^beta per side" % ", ".join("%.3g" % v for v in sizes))
+            "value by c^beta per side" % ", ".join(
+                "%.3g" % np.ravel(v)[np.argmax(np.abs(v))] for v in sizes))
 
 
 def _physical_memory():
@@ -152,6 +156,11 @@ def ttilde_eval(x1, x2, marginal_atoms, marginal_probs, spec):
     return a12 - row1 - row2 + grand
 
 
+def _columns(w):
+    """w as a k x R matrix of weight columns: a vector becomes one column."""
+    return w.reshape(w.shape[0], -1)
+
+
 def _d1_rows(rows, w):
     """Three-term pairwise-form contraction collected over row blocks.
 
@@ -159,21 +168,28 @@ def _d1_rows(rows, w):
     symmetric or both antisymmetric. Returns sum_ij w_i w_j a_ij b_ij
     + (w'a w)(w'b w) - 2 sum_i w_i (a w)_i (b w)_i, holding one row
     block at a time, and raises DomainError if that is not finite.
+
+    w is a weight vector, or a k x R matrix whose columns are R weight
+    vectors; then one sweep of the rows gives all R values, as an array,
+    from a @ W, b @ W and (a * b) @ W per block, in O(k * R) extra
+    memory. A weight vector keeps the bits of its matrix-vector
+    products; a column of a matrix sums in another order.
     """
-    aw = np.empty(w.size)
-    bw = np.empty(w.size)
-    term1 = 0.0
-    for lo, hi in row_blocks(w.size):
+    cols = _columns(w)
+    aw = np.empty(cols.shape, order="F")
+    bw = np.empty(cols.shape, order="F")
+    term1 = np.zeros(cols.shape[1])
+    for lo, hi in row_blocks(len(cols)):
         a, b = rows(lo, hi)
-        aw[lo:hi] = a @ w
-        bw[lo:hi] = b @ w
-        term1 += float(w[lo:hi] @ ((a * b) @ w))
-    mean_a = float(w @ aw)
-    mean_b = float(w @ bw)
-    term3 = float(np.sum(w * (aw * bw)))
+        aw[lo:hi] = a @ cols
+        bw[lo:hi] = b @ cols
+        term1 += np.vecdot(cols[lo:hi], (a * b) @ cols, axis=0)
+    mean_a = np.vecdot(cols, aw, axis=0)
+    mean_b = np.vecdot(cols, bw, axis=0)
+    term3 = np.sum(cols * (aw * bw), axis=0)
     value = term1 + mean_a * mean_b - 2.0 * term3
     _require_finite(value, (mean_a, mean_b))
-    return value
+    return value if w.ndim == 2 else float(value[0])
 
 
 def _centered_rows(rows, w):
@@ -182,33 +198,53 @@ def _centered_rows(rows, w):
     rows(lo, hi) returns a tuple of rows lo:hi of symmetric kernels, as
     arrays that may be overwritten. The first sweep collects the row
     sums (k w)_i of each kernel, and raises DomainError if they are not
-    finite; the second centers each block in place to
-    k_ij - (k w)_i - (k w)_j + w'k w and yields (lo, hi, blocks).
+    finite; the second centers each block to
+    k_ij - (k w)_i - (k w)_j + w'k w and yields (lo, hi, j, blocks).
+    w is a weight vector (j = 0, and each block is centered in place) or
+    a k x R matrix of weight columns: then the first sweep gives every
+    column's row sums, and the second builds each block once and yields
+    it centered for each column j in turn, in buffers reused until the
+    next yield.
     """
-    blocks = row_blocks(w.size)
-    per_block = [[k @ w for k in rows(lo, hi)] for lo, hi in blocks]
+    cols = _columns(w)
+    blocks = row_blocks(len(cols))
+    per_block = [[k @ cols for k in rows(lo, hi)] for lo, hi in blocks]
     kw = [np.concatenate(parts) for parts in zip(*per_block)]
-    means = [float(w @ r) for r in kw]
+    del per_block
+    means = [np.vecdot(cols, r, axis=0) for r in kw]
     _require_finite(kw, means)
     col = [r - m for r, m in zip(kw, means)]    # (k w)_j - w'k w
+    out = None
     for lo, hi in blocks:
         ks = rows(lo, hi)
-        for k, r, c in zip(ks, kw, col):
-            k -= r[lo:hi, None]
-            k -= c
-        yield lo, hi, ks
+        if w.ndim == 1:
+            out = ks
+        elif out is None or len(out[0]) != hi - lo:
+            out = [np.empty_like(k) for k in ks]
+        for j in range(cols.shape[1]):
+            centered = [np.subtract(k, r[lo:hi, j, None], out=o)
+                        for k, o, r in zip(ks, out, kw)]
+            for o, c in zip(centered, col):
+                o -= c[:, j]
+            yield lo, hi, j, centered
+        del ks                  # not held while the next block is built
 
 
 def _centered_products(rows, w):
     """sum_ij w_i w_j (ca cb, ca ca, cb cb)_ij of the kernels rows(lo, hi).
 
-    Raises DomainError if any of the three is not finite.
+    w is a weight vector, or a k x R matrix of weight columns, which
+    gives a 3 x R array from one pair of sweeps (_centered_rows).
+    Raises DomainError if any sum is not finite.
     """
-    sums = np.zeros(3)
-    for lo, hi, (a, b) in _centered_rows(rows, w):
-        sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
+    cols = _columns(w)
+    sums = np.zeros((3, cols.shape[1]))
+    for lo, hi, j, (a, b) in _centered_rows(rows, w):
+        v = cols[:, j]
+        sums[:, j] += [v[lo:hi] @ ((f * g) @ v)
+                       for f, g in ((a, b), (a, a), (b, b))]
     _require_finite(sums, np.sqrt(sums[1:]))
-    return sums
+    return sums if w.ndim == 2 else sums[:, 0]
 
 
 def _dcov_d2(joint, cap):

@@ -3,9 +3,10 @@
 The permutation test calibrates the plug-in distance covariance under
 the independence null by relabeling one sample. The consistency sweep
 measures how fast the plug-in estimator approaches the exact
-population value of a finite joint; each replicate reweights the
-joint's atoms and sweeps their kernel rows, at O(n + k^2 d) time and
-O(k * block) memory for n draws over k atoms. The tail diagnostic
+population value of a finite joint; a replicate is the joint's atoms
+with multinomial weights, drawn in O(k) for k atoms whatever the
+sample size, and one sweep of their kernel rows contracts every
+replicate's weights as the columns of one matrix. The tail diagnostic
 and the regime classifier deal with heavy tails: the former is an
 empirical heuristic, the latter turns analyst-supplied moment facts
 into a per-definition finite / infinite / undefined verdict.
@@ -21,6 +22,9 @@ from .metric import as_points, distance_rows, pairwise_distances, row_blocks
 
 #: estimators consistency_sweep can evaluate on resampled weights
 SWEEP_METHODS = ("d1", "centered")
+
+#: weights (atoms x replicates) contracted by one sweep of the kernel rows
+SWEEP_COLUMN_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ def perm_test(sample, B=199, seed=None):
     def x_rows(lo, hi):
         return (distance_rows(sample.x, sample.x_spec, lo, hi),)
 
-    for lo, hi, (ca,) in _centered_rows(x_rows, w):
+    for lo, hi, _, (ca,) in _centered_rows(x_rows, w):
         wa = ca * ww                        # no unweighted sum to overflow
         cbb = cb[lo:hi]
         observed += np.vdot(wa, cbb)
@@ -121,40 +125,51 @@ class ConsistencyTrace:
 def consistency_sweep(joint, n_schedule, seeds, method="d1"):
     """Empirical consistency of the plug-in estimator on a finite joint.
 
-    For each sample size draws atom indices from the joint, evaluates
-    the weighted plug-in estimator on the resampled weights, and
-    reports the median estimate and median absolute error over seeds.
-    The population and every replicate sweep the joint's kernel rows
-    (DiscreteJoint.rows) with the resampled weights, so a replicate
-    costs O(n + k^2 d) time and O(k * block) memory; no k x k matrix is
-    held.
+    For each sample size n and seed draws the atom counts of n draws
+    from the joint, Multinomial(n, probs) from the generator seeded
+    with [seed, n], evaluates the weighted plug-in estimator on the
+    resampled weights counts / n, and reports the median estimate and
+    median absolute error over seeds. The population is the exact d1
+    of the joint's weights. The replicates are the columns of one k x R
+    weight matrix, and one sweep of the joint's kernel rows
+    (DiscreteJoint.rows) contracts all of them: O(k) per draw, O(k^2 d)
+    for the kernel powers, built once, and O(k * R) memory for R
+    replicates, in chunks of at most SWEEP_COLUMN_ELEMENTS weights. No
+    k x k matrix is held.
     """
     schedule = [int(n) for n in n_schedule]
+    seeds = [int(s) for s in seeds]
     if not schedule:
         raise ValueError("empty sample-size schedule")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if min(schedule) < 1:
+        raise ValueError("sample sizes must be positive")
     if sorted(schedule) != schedule:
         raise ValueError("sample sizes must be increasing")
     if method not in SWEEP_METHODS:
         raise ValueError("method must be %s" % " or ".join(SWEEP_METHODS))
     k = joint.n
     population = _d1_rows(joint.rows, joint.probs)
-    rows = []
-    for n in schedule:
-        ests = []
-        for seed in seeds:
-            rng = np.random.default_rng([int(seed), n])
-            counts = np.bincount(rng.choice(k, size=n, p=joint.probs),
-                                 minlength=k)
-            w = counts / n
-            if method == "d1":
-                ests.append(_d1_rows(joint.rows, w))
-            else:
-                ests.append(float(_centered_products(joint.rows, w)[0]))
-        ests = np.asarray(ests)
-        rows.append((n, float(np.median(ests)),
-                     float(np.median(np.abs(ests - population)))))
-    return ConsistencyTrace(rows=tuple(rows), population=population,
-                            method=method, seeds=tuple(int(s) for s in seeds))
+    draws = [(n, seed) for n in schedule for seed in seeds]
+    per_sweep = max(1, SWEEP_COLUMN_ELEMENTS // k)
+    ests = []
+    for lo in range(0, len(draws), per_sweep):
+        part = draws[lo:lo + per_sweep]
+        w = np.empty((k, len(part)), order="F")
+        for col, (n, seed) in zip(w.T, part):
+            rng = np.random.default_rng([seed, n])
+            col[:] = rng.multinomial(n, joint.probs) / n
+        if method == "d1":
+            ests.append(_d1_rows(joint.rows, w))
+        else:
+            ests.append(_centered_products(joint.rows, w)[0])
+    ests = np.concatenate(ests).reshape(len(schedule), len(seeds))
+    rows = tuple((n, float(np.median(e)),
+                  float(np.median(np.abs(e - population))))
+                 for n, e in zip(schedule, ests))
+    return ConsistencyTrace(rows=rows, population=population,
+                            method=method, seeds=tuple(seeds))
 
 
 def tail_diagnostic(points, spec):
@@ -165,7 +180,8 @@ def tail_diagnostic(points, spec):
     Its population value is finite exactly under the tail condition
     that keeps the four-point kernel square integrable (for beta <= 1),
     so growth of this statistic across subsample sizes flags trouble.
-    Computed in O(n log n) by sorting.
+    Computed in O(n log n) by sorting; raises DomainError if the powers
+    or their sum are not finite.
     """
     pts = as_points(points, spec)
     if len(pts) < 2:
@@ -178,7 +194,9 @@ def tail_diagnostic(points, spec):
     n = v.size
     # after sorting, v[i] is the minimum in exactly (n - 1 - i) pairs
     total = float(np.sum(v * (n - 1 - np.arange(n))))
-    return 2.0 * total / (n * (n - 1))
+    value = 2.0 * total / (n * (n - 1))
+    _require_finite(value, (v[(n - 1) // 2],))
+    return value
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,30 @@ def _streams(seed, draws):
             for s in np.random.SeedSequence(seed).spawn(draws)]
 
 
+def _units(seed, draws, dim_x, dim_y):
+    """Per-draw unit directions of both sides: standard normal draws,
+    one spawned stream per draw, xi first and then eta, each divided
+    by its norm."""
+    streams = _streams(seed, draws)
+    xis = np.stack([rg.standard_normal(dim_x) for rg in streams])
+    etas = np.stack([rg.standard_normal(dim_y) for rg in streams])
+    return (xis / np.linalg.norm(xis, axis=1)[:, None],
+            etas / np.linalg.norm(etas, axis=1)[:, None])
+
+
 def _projections(sample, draws, seed):
-    """Atom weights and per-draw projections of both sides, with the
-    directions drawn as the quadrature route drew them: one spawned
-    stream per draw, xi first and then eta."""
+    """Atom weights and per-draw projections of both sides onto the
+    unit directions of _units."""
     atoms = _collapse(sample)
     x, y, w = atoms.x, atoms.y, atoms.probs
-    streams = _streams(seed, draws)
-    xis = np.stack([rg.standard_normal(x.shape[1]) for rg in streams])
-    etas = np.stack([rg.standard_normal(y.shape[1]) for rg in streams])
-    return w, x @ xis.T, y @ etas.T
+    us, vs = _units(seed, draws, x.shape[1], y.shape[1])
+    return w, x @ us.T, y @ vs.T
+
+
+def _norm_moment(beta, dim):
+    """E|xi|^beta for standard normal xi in R^dim, from math.gamma."""
+    return (2.0 ** (beta / 2.0) * math.gamma((dim + beta) / 2.0)
+            / math.gamma(dim / 2.0))
 
 
 def _dense_terms_of(a, b, w):
@@ -210,6 +224,12 @@ class TestHTrunc:
         with pytest.raises(DomainError):
             h_trunc(1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+    def test_level_must_be_positive_and_finite(self, m):
+        with pytest.raises(ValueError, match="^M must be a positive finite "
+                           "number, got %g$" % m):
+            h_trunc(1.0, m, 1.0)
+
 
 class TestDcovHm:
     def test_degenerate_zero(self):
@@ -309,15 +329,23 @@ class TestProjectionDraws:
             t1, t2, t3 = _dense_terms(px[:, i], py[:, i], w, beta)
             scale = abs(t1) + abs(t2) + 2.0 * abs(t3)
             assert abs(vals[i] - (t1 + t2 - 2.0 * t3)) <= 1e-12 * scale
-        k2 = _gaussian_moment(beta) ** 2
-        assert est.value == float(vals.mean()) / k2
-        assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(16) / k2
+        # the norms enter at their expectation: E|xi|^beta E|eta|^beta
+        # over E|N(0,1)|^beta^2, which is 1 when both sides are 1-D
+        scale = math.prod(_gaussian_moment(beta, d) / _gaussian_moment(beta)
+                          for d in (dim, 2))
+        assert scale == pytest.approx(_norm_moment(beta, dim)
+                                      * _norm_moment(beta, 2)
+                                      / _norm_moment(beta, 1) ** 2,
+                                      rel=1e-14)
+        assert est.value == float(vals.mean()) * scale
+        assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(16) * scale
         assert est.aux == {"draws": 16, "grid_nodes": 0,
                            "atoms": _collapse(sample).n}
 
     def test_directions_are_bit_identical(self, monkeypatch):
-        # unit-vector atoms project to the direction coordinates exactly,
-        # so the projections seen by the kernels are the directions
+        # unit-vector atoms project to the unit direction coordinates
+        # exactly, so the projections seen by the kernels are the
+        # normalized directions
         x = np.eye(3)[[0, 1, 2, 0, 1]]
         y = np.eye(2)[[0, 1, 0, 1, 0]]
         sample = PairedSample(x, y, euclidean(3, 1.0), euclidean(2, 1.0))
@@ -336,9 +364,38 @@ class TestProjectionDraws:
         for i in range(7):
             np.testing.assert_array_equal(seen[2 * i][:, 0], px[:, i])
             np.testing.assert_array_equal(seen[2 * i + 1][:, 0], py[:, i])
-        xis = np.stack([rg.standard_normal(3) for rg in _streams(23, 7)])
+        us, _ = _units(23, 7, 3, 2)
+        np.testing.assert_allclose(np.linalg.norm(us, axis=1), 1.0,
+                                   rtol=1e-15)
         atoms = _collapse(sample).x
-        np.testing.assert_array_equal(px, xis[:, atoms.argmax(axis=1)].T)
+        np.testing.assert_array_equal(px, us[:, atoms.argmax(axis=1)].T)
+
+    def test_gaussian_moment_closed_forms(self):
+        # E|xi|^2 = dim; E|xi| = sqrt(pi/2) in R^2; E|N(0,1)|^beta at
+        # dim 1; the log-gamma form keeps its digits where Gamma overflows
+        for dim in (1, 2, 3, 10):
+            assert _gaussian_moment(2.0, dim) == pytest.approx(dim,
+                                                               rel=1e-14)
+        assert _gaussian_moment(1.0, 2) == pytest.approx(
+            math.sqrt(math.pi / 2.0), rel=1e-14)
+        for beta in (0.5, 1.0, 1.5):
+            assert _gaussian_moment(beta) == pytest.approx(
+                2.0 ** (beta / 2.0) * math.gamma((beta + 1.0) / 2.0)
+                / math.sqrt(math.pi), rel=1e-14)
+        assert _gaussian_moment(2.0, 500) == pytest.approx(500.0, rel=1e-12)
+
+    def test_one_dimensional_parts_are_exact(self):
+        # unit directions in R^1 are +-1, so every draw is the exact d1
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(30, 1))
+        y = x + rng.normal(size=(30, 1))
+        sample = PairedSample(x, y, euclidean(1, 1.5), euclidean(1, 1.5))
+        est = dcov_charrv_mc(sample, draws=8, seed=4)
+        # equal draws; the mean over them may round, so the stderr is
+        # zero up to that rounding
+        assert est.stderr <= 1e-15 * est.value
+        assert est.value == pytest.approx(dcov_plugin_d1(sample).value,
+                                          rel=1e-12)
 
     @_CASES
     def test_quadrature_cosine_part_within_its_error(self, beta, dim,
@@ -392,8 +449,9 @@ def _ref_charrv_mc(sample, draws, seed):
     Each draw centres the dense kernels |gap|^beta of both projections
     to four pieces, a_ij - (a w)_i - (a w)_j + w'a w, and contracts them
     once, sum_ij w_i w_j ca_ij cb_ij: the same d1 as the library's
-    three-term sum, reached by other arithmetic. E|N(0,1)|^beta is
-    taken as the absolute moment of the normal law.
+    three-term sum, reached by other arithmetic. The projections are
+    onto unit directions, and the mean is scaled by the norm moments
+    E|xi|^beta E|eta|^beta over E|N(0,1)|^beta^2, from math.gamma.
     """
     beta = sample.beta
     w, px, py = _projections(sample, draws, seed)
@@ -405,10 +463,11 @@ def _ref_charrv_mc(sample, draws, seed):
 
     vals = np.array([w @ (centred(px[:, i]) * centred(py[:, i])) @ w
                      for i in range(draws)])
-    kappa = 2.0 ** (beta / 2.0) * math.gamma((beta + 1.0) / 2.0) \
-        / math.sqrt(math.pi)
-    return (float(vals.mean()) / kappa ** 2,
-            float(vals.std(ddof=1)) / math.sqrt(draws) / kappa ** 2)
+    scale = (_norm_moment(beta, sample.x.shape[1])
+             * _norm_moment(beta, sample.y.shape[1])
+             / _norm_moment(beta, 1) ** 2)
+    return (float(vals.mean()) * scale,
+            float(vals.std(ddof=1)) / math.sqrt(draws) * scale)
 
 
 class TestFoldedTable:

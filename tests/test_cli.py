@@ -1,5 +1,6 @@
 import argparse
 import importlib.resources
+import io
 import json
 import re
 import subprocess
@@ -209,8 +210,9 @@ def bigger_csv(tmp_path_factory, sample_csv):
 class TestNonFiniteResults:
     @pytest.mark.parametrize("method, extra, entries", [
         ("d1", [], "inf, inf"), ("centered", [], "inf, inf"),
-        # the default level M is inf there too, and h_trunc(inf, inf) nan
-        ("hm", [], "nan, nan"),
+        # the default level M is refused there: the squared distances
+        # it is set from are inf
+        ("hm", [], "inf, inf"),
         ("charrv", ["--seed", "1", "--draws", "4"], "inf, inf")])
     def test_dcov_kernel_overflow_is_exit_3(self, huge_csv, method, extra,
                                             entries):
@@ -259,6 +261,60 @@ class TestNonFiniteResults:
         assert observed == pytest.approx(json.loads(out)["value"], rel=1e-12)
 
 
+class TestEntryPointRefusals:
+    """Values no report may print, and option values no route can use."""
+
+    def test_emit_refuses_non_finite_values(self):
+        stream = io.StringIO()
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(exact.DomainError, match="^the diag report "
+                               "holds a value that is not finite$"):
+                cli._emit({"subcommand": "diag", "value": bad}, 0.0, stream)
+        assert stream.getvalue() == ""
+
+    def test_diag_overflow_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("x1\n1e300\n-1e300\n2e300\n")
+        rc = main(["diag", "--input", str(path), "--x-cols", "x1",
+                   "--beta", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: result is not finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--n-schedule", "0,10", "sample sizes must be positive"),
+        ("--n-schedule", "10,x", "--n-schedule must be comma separated "
+         "integers, got '10,x'"),
+        ("--seeds", "", "--seeds must be comma separated integers, got ''"),
+        ("--seeds", "1,,2", "--seeds must be comma separated integers, "
+         "got '1,,2'")])
+    def test_converge_list_options(self, joint_csv, capsys, option, value,
+                                   message):
+        opts = {"--n-schedule": "10", "--seeds": "1"}
+        opts[option] = value
+        rc = main(["converge", "--input", joint_csv, "--x-cols", "x1",
+                   "--y-cols", "y1", "--beta", "1", "--prob-col", "prob"]
+                  + [v for item in opts.items() for v in item])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "0", "-2"])
+    def test_truncation_level_must_be_positive_and_finite(
+            self, sample_csv, capsys, level):
+        rc = main(["dcov", "--input", sample_csv, "--x-cols", "x1",
+                   "--y-cols", "y1", "--beta", "1", "--method", "hm",
+                   "--trunc-m", level])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: M must be a positive finite number, got %g\n"
+                       % float(level))
+
+
 class TestUsageErrors:
     def test_missing_column(self, sample_csv):
         rc, _, err = run_cli(["dcov", "--input", sample_csv,
@@ -285,7 +341,7 @@ class TestUsageErrors:
         ("1,2\n", "d1", "1", "need at least 2 observations, got 1"),
         ("1,2\n", "centered", "1", "need at least 2 observations, got 1"),
         ("1,2\n", "hm", "1", "need at least 2 observations, got 1"),
-        ("1,2\n", "beta2", "2", "need at least 2 observations"),
+        ("1,2\n", "beta2", "2", "need at least 2 observations, got 1"),
         ("1,2\n", "charrv", "1", "need at least 2 observations, got 1")])
     def test_empty_or_one_row_sample_is_one_line(self, tmp_path, capsys,
                                                   rows, method, beta,

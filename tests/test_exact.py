@@ -10,6 +10,7 @@ from betadcov import (DiscreteJoint, consistency_sweep, dcov_exact, euclidean,
                       hhat_eval, pairwise_distances, projection_demo, table,
                       ttilde_eval)
 from betadcov.exact import _centered_products, _d1_rows
+from betadcov.metric import row_blocks
 from conftest import random_joint, random_table_joint
 
 SP1 = euclidean(1, 1.0)
@@ -196,20 +197,33 @@ _SWEEP_CONTRACTIONS = {
 }
 
 
+def _term_scale(a, b, w):
+    """|t1| + |t2| + 2|t3| of the d1 terms of dense kernels a, b under w:
+    the scale that bounds the rounding of every contraction of them."""
+    aw, bw = a @ w, b @ w
+    return (abs(w @ (a * b) @ w) + abs((w @ aw) * (w @ bw))
+            + 2.0 * abs(np.sum(w * aw * bw)) + 1e-300)
+
+
 @pytest.mark.parametrize("method", sorted(_SWEEP_CONTRACTIONS))
 def test_centered_routes_leave_cached_distances_untouched(rng, method):
-    # every replicate contracts freshly computed kernel rows under its
-    # resampled weights, which may be zero, and centering them in place
-    # changes nothing that a later replicate reads
+    # every replicate is a weight column of one sweep of freshly computed
+    # kernel rows; its multinomial weights may be zero, and centering a
+    # block for one column changes nothing that the next column reads.
+    # A column sums in another order than a single-vector call, so each
+    # is held to 1e-12 of the d1 term scale; the population is the
+    # single-vector call itself
     joint = random_joint(rng, support=6, dim_x=2, dim_y=2)
+    a = pairwise_distances(joint.x, joint.x_spec)
+    b = pairwise_distances(joint.y, joint.y_spec)
     seed = 1
     trace = consistency_sweep(joint, [3, 10, 40, 200], [seed],
                               method=method)
     for n, est, _ in trace.rows:
-        draws = np.random.default_rng([seed, n]).choice(6, size=n,
-                                                        p=joint.probs)
-        w = np.bincount(draws, minlength=6) / n
-        assert est == _SWEEP_CONTRACTIONS[method](joint, w)
+        counts = np.random.default_rng([seed, n]).multinomial(n, joint.probs)
+        w = counts / n
+        assert abs(est - _SWEEP_CONTRACTIONS[method](joint, w)) <= (
+            1e-12 * _term_scale(a, b, w))
     assert trace.population == dcov_exact(joint, "d1").value
 
 
@@ -246,6 +260,81 @@ def test_property_row_sweeps_equal_matrix_contractions(joint):
     # copies, since the centering writes into the rows it is given
     assert dcov_exact(joint, "d3").value == float(_centered_products(
         lambda lo, hi: (a[lo:hi].copy(), b[lo:hi].copy()), w)[0])
+
+
+def _vector_d1(rows, w):
+    """Reference single-vector d1 contraction: matrix-vector and vector
+    dot products and Python float sums, whose bits a call of _d1_rows
+    with one weight vector keeps."""
+    aw = np.empty(w.size)
+    bw = np.empty(w.size)
+    term1 = 0.0
+    for lo, hi in row_blocks(w.size):
+        a, b = rows(lo, hi)
+        aw[lo:hi] = a @ w
+        bw[lo:hi] = b @ w
+        term1 += float(w[lo:hi] @ ((a * b) @ w))
+    return (term1 + float(w @ aw) * float(w @ bw)
+            - 2.0 * float(np.sum(w * (aw * bw))))
+
+
+def _vector_centered(rows, w):
+    """Reference single-vector centered sums, whose bits a call of
+    _centered_products with one weight vector keeps."""
+    blocks = row_blocks(w.size)
+    per_block = [[k @ w for k in rows(lo, hi)] for lo, hi in blocks]
+    kw = [np.concatenate(parts) for parts in zip(*per_block)]
+    means = [float(w @ r) for r in kw]
+    sums = np.zeros(3)
+    for lo, hi in blocks:
+        a, b = (k - r[lo:hi, None] - (r - m)
+                for k, r, m in zip(rows(lo, hi), kw, means))
+        sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
+    return sums
+
+
+def _with_zeros(joint, seed, columns):
+    """k x columns weights over three decades, about a third of them
+    zero, each column summing to 1."""
+    r = np.random.default_rng(seed)
+    w = r.uniform(1e-3, 1.0, size=(joint.n, columns))
+    w[r.uniform(size=w.shape) < 0.3] = 0.0
+    w[r.integers(0, joint.n), :] += 1.0
+    return w / w.sum(axis=0)
+
+
+@given(_joints_over_blocks(), st.integers(0, 2 ** 32 - 1))
+def test_property_single_weight_vector_keeps_its_bits(joint, seed):
+    # every route but the consistency sweep's replicates passes one
+    # weight vector; its values are those of the single-vector code
+    for w in (joint.probs, _with_zeros(joint, seed, 1)[:, 0].copy()):
+        value = _d1_rows(joint.rows, w)
+        assert type(value) is float
+        assert value == _vector_d1(joint.rows, w)
+        sums = _centered_products(joint.rows, w)
+        assert sums.shape == (3,)
+        np.testing.assert_array_equal(sums,
+                                      _vector_centered(joint.rows, w))
+
+
+@given(_joints_over_blocks(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_property_weight_columns_match_single_vectors(joint, columns, seed):
+    # one sweep with a k x R weight matrix gives each column's value
+    # within 1e-12 of the d1 term scale of the single-vector call
+    a = pairwise_distances(joint.x, joint.x_spec)
+    b = pairwise_distances(joint.y, joint.y_spec)
+    w = _with_zeros(joint, seed, columns)
+    d1 = _d1_rows(joint.rows, w)
+    sums = _centered_products(joint.rows, w)
+    assert d1.shape == (columns,) and sums.shape == (3, columns)
+    for j in range(columns):
+        v = w[:, j].copy()
+        assert abs(d1[j] - _d1_rows(joint.rows, v)) <= (
+            1e-12 * _term_scale(a, b, v))
+        one = _centered_products(joint.rows, v)
+        for got, want, (f, g) in zip(sums[:, j], one,
+                                     ((a, b), (a, a), (b, b))):
+            assert abs(got - want) <= 1e-12 * _term_scale(f, g, v)
 
 
 def test_exact_d1_holds_no_k_by_k_matrix():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from betadcov import (DiscreteJoint, MomentFlags, PairedSample,
                       consistency_sweep, dcor, dcov_centered, dcov_exact,
-                      euclidean, exact, pairwise_distances, perm_test,
-                      regime_classify, tail_diagnostic)
+                      euclidean, exact, inference, pairwise_distances,
+                      perm_test, regime_classify, tail_diagnostic)
 from betadcov.inference import (FINITE, PLUS_INF, TTILDE_UNDEFINED, UNDEFINED,
                                 UNKNOWN)
 from conftest import random_joint
@@ -321,6 +321,57 @@ class TestConsistencySweep:
         with pytest.raises(ValueError):
             consistency_sweep(bernoulli_joint, [10], seeds=[1], method="bad")
 
+    @pytest.mark.parametrize("schedule, seeds, message", [
+        ([0, 10], [1], "sample sizes must be positive"),
+        ([-5], [1], "sample sizes must be positive"),
+        ([10], [], "need at least one seed")])
+    def test_refuses_sizes_below_one_and_no_seeds(self, bernoulli_joint,
+                                                 schedule, seeds, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            consistency_sweep(bernoulli_joint, schedule, seeds)
+
+    def test_counts_are_multinomial_draws(self, rng, monkeypatch):
+        # every replicate is a column of one k x R weight matrix: the
+        # counts of Multinomial(n, probs) from the generator [seed, n],
+        # over n, in schedule order, then seed
+        joint = random_joint(rng, support=5)
+        seen = []
+
+        def record(rows, w):
+            seen.append(w.copy())
+            return exact_d1_rows(rows, w)
+
+        exact_d1_rows = inference._d1_rows
+        monkeypatch.setattr(inference, "_d1_rows", record)
+        consistency_sweep(joint, [7, 300], [4, 9])
+        population, replicates = seen
+        np.testing.assert_array_equal(population, joint.probs)
+        expected = [np.random.default_rng([s, n]).multinomial(n, joint.probs)
+                    / n for n in (7, 300) for s in (4, 9)]
+        np.testing.assert_array_equal(replicates, np.transpose(expected))
+
+    def test_sweeps_columns_in_chunks(self, rng, monkeypatch):
+        # past SWEEP_COLUMN_ELEMENTS weights a sweep takes the next chunk
+        # of columns; the report does not depend on the chunking
+        joint = random_joint(rng, support=6)
+        whole = consistency_sweep(joint, [10, 20, 30], [1, 2, 3])
+        widths = []
+
+        def record(rows, w):
+            widths.append(w.shape)
+            return exact_d1_rows(rows, w)
+
+        exact_d1_rows = inference._d1_rows
+        monkeypatch.setattr(inference, "_d1_rows", record)
+        monkeypatch.setattr(inference, "SWEEP_COLUMN_ELEMENTS", 6 * 4)
+        chunked = consistency_sweep(joint, [10, 20, 30], [1, 2, 3])
+        assert widths == [(6,), (6, 4), (6, 4), (6, 1)]
+        assert chunked.population == whole.population
+        for row_c, row_w in zip(chunked.rows, whole.rows):
+            assert row_c[0] == row_w[0]
+            assert row_c[1:] == pytest.approx(row_w[1:], rel=1e-12,
+                                              abs=1e-15)
+
     def test_holds_no_k_by_k_matrix(self, rng, monkeypatch):
         k = 1000
         joint = random_joint(rng, support=k, dim_x=2, dim_y=2)
@@ -328,6 +379,9 @@ class TestConsistencySweep:
         # does not build: it sweeps kernel rows
         monkeypatch.setattr(exact, "_physical_memory",
                             lambda: 16 * k * k - 1)
+        # np.median imports numpy.ma (about 1 MB) on its first call;
+        # make that call before the window, which then counts the sweep
+        np.median(np.ones(3))
         tracemalloc.start()
         try:
             for method in ("d1", "centered"):
@@ -355,6 +409,14 @@ class TestTailDiagnostic:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             tail_diagnostic([[1.0]], SP1)
+
+    def test_overflow_is_refused(self):
+        # |x|^(2 beta) overflows to inf, and the largest norm's pair
+        # count 0 times inf would be NaN; numpy warns on the way there
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(exact.DomainError,
+                              match="^result is not finite"):
+            tail_diagnostic([[1e300], [-1e300], [2e300]], SP1)
 
 
 class TestRegimeClassify:
