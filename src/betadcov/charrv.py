@@ -23,7 +23,9 @@ and cannot raise the variance. Each draw is the d1 of the projections
 onto the two unit directions, computed by the shared contraction over
 row blocks of the projected distances; the estimate is the mean over
 draws times E|xi|^beta E|eta|^beta / kappa^2 (the random-projection
-estimator of Huo and Szekely 2016, with uniform directions).
+estimator of Huo and Szekely 2016, with uniform directions). With
+one-dimensional parts the directions are +-1 and every draw is the same
+d1, which is computed once.
 """
 
 import math
@@ -32,61 +34,6 @@ import numpy as np
 
 from .exact import DcovEstimate, DiscreteJoint, DomainError, _d1_rows
 from .metric import distance_rows, euclidean, squared_distance_rows
-
-
-def char_rv(points, weights, xi, r):
-    """Conditional characteristic value E(exp(i r xi.X)) over a discrete law.
-
-    points is an (n, d) coordinate array with a probability (or 1/n)
-    weight vector; xi a single projection direction. The modulus of
-    the result never exceeds 1.
-    """
-    if r == 0.0:
-        return complex(1.0)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    w = np.asarray(weights, dtype=float)
-    proj = pts @ np.asarray(xi, dtype=float)
-    return complex(np.sum(w * np.exp(1j * r * proj)))
-
-
-def mean_sq_char_gap(joint, r, s):
-    """Gaussian-averaged squared gap E |Phi_XY - Phi_X Phi_Y|^2, exactly.
-
-    Averaging exp(i xi.v) over a standard normal direction gives
-    exp(-|v|^2 / 2), so the expectation over (xi, eta) collapses to the
-    pairwise contraction of two Gaussian kernel matrices with scale
-    parameters r^2/2 and s^2/2, by row blocks. Finite-support joints only.
-    """
-    def rows(lo, hi):
-        return tuple(np.exp(-(c * c / 2.0) * squared_distance_rows(p, lo, hi))
-                     for c, p in ((r, joint.x), (s, joint.y)))
-
-    return _d1_rows(rows, joint.probs)
-
-
-def mean_sq_char_gap_mc(joint, r, s, draws, seed):
-    """Monte Carlo counterpart of mean_sq_char_gap.
-
-    Samples standard normal directions, evaluates the characteristic
-    values exactly over the discrete law, and averages the squared
-    modulus of the gap. Returns (mean, stderr).
-    """
-    rng = np.random.default_rng(seed)
-    x = joint.x
-    y = joint.y
-    w = joint.probs
-    vals = np.empty(draws)
-    for i in range(draws):
-        xi = rng.standard_normal(x.shape[1])
-        eta = rng.standard_normal(y.shape[1])
-        ph_x = np.exp(1j * r * (x @ xi))
-        ph_y = np.exp(1j * s * (y @ eta))
-        joint_cf = np.sum(w * ph_x * ph_y)
-        gap = joint_cf - np.sum(w * ph_x) * np.sum(w * ph_y)
-        vals[i] = abs(gap) ** 2
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
 
 
 def _collapse(points):
@@ -118,10 +65,10 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
     scaled to unit length, and computes the exact one-dimensional
     weighted d1 of the projected points; value and stderr are the mean
     and standard error over draws, times E|xi|^beta E|eta|^beta /
-    kappa^2 (_gaussian_moment). With one-dimensional parts the
-    unit directions are +-1, every draw is the exact d1 and the stderr
-    is 0 up to the rounding of the mean. Deterministic for a fixed
-    (seed, draws) pair.
+    kappa^2 (_gaussian_moment). With one-dimensional parts the unit
+    directions are +-1 and every draw is the exact d1, so that d1 is
+    computed once and reported with a stderr of 0. Deterministic for a
+    fixed (seed, draws) pair.
     """
     if sample.x_spec.kind != "euclidean" or sample.y_spec.kind != "euclidean":
         raise ValueError("Gaussian projection route needs Euclidean parts")
@@ -137,6 +84,10 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
 
     atoms = _collapse(sample)
     x, y, w = atoms.x, atoms.y, atoms.probs
+    aux = {"draws": draws, "grid_nodes": 0, "atoms": atoms.n}
+    if x.shape[1] == y.shape[1] == 1:
+        return DcovEstimate(value=_d1_rows(atoms.rows, w), method="charrv",
+                            beta=beta, n=sample.n, stderr=0.0, aux=aux)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(draws)]
     xis = np.stack([rg.standard_normal(x.shape[1]) for rg in streams])
@@ -155,12 +106,11 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
         p, q = px[:, i:i + 1], py[:, i:i + 1]
         vals[i] = _d1_rows(rows, w)
 
-    # E|xi|^beta E|eta|^beta / kappa^2, which is 1 for 1-D parts
+    # E|xi|^beta E|eta|^beta / kappa^2, where a 1-D side's factor is 1
     scale = math.prod(_gaussian_moment(beta, d) / _gaussian_moment(beta)
                       for d in (x.shape[1], y.shape[1]))
     value = float(vals.mean()) * scale
     stderr = float(vals.std(ddof=1)) / math.sqrt(draws) * scale
-    aux = {"draws": draws, "grid_nodes": 0, "atoms": atoms.n}
     return DcovEstimate(value=value, method="charrv", beta=beta,
                         n=sample.n, stderr=stderr, aux=aux)
 

@@ -21,8 +21,8 @@ from .charrv import dcov_charrv_mc, dcov_hm
 from .estimators import PairedSample, dcov_centered, dcov_plugin_d1
 from .exact import (DiscreteJoint, DomainError, _require_finite, dcov_exact,
                     projection_demo)
-from .inference import (SWEEP_METHODS, MomentFlags, consistency_sweep,
-                        perm_test, regime_classify, tail_diagnostic)
+from .inference import (MomentFlags, consistency_sweep, perm_test,
+                        regime_classify, tail_diagnostic)
 from .io import load_csv, parse_columns
 from .metric import euclidean, row_blocks, squared_distance_rows
 
@@ -174,7 +174,7 @@ def _cmd_converge(args):
     joint = _load_input(args)
     schedule = _int_list(args.n_schedule, "--n-schedule")
     seeds = _int_list(args.seeds, "--seeds")
-    trace = consistency_sweep(joint, schedule, seeds, method=args.method)
+    trace = consistency_sweep(joint, schedule, seeds)
     if args.format == "csv":
         out = ["n,median_estimate,median_abs_error,population"]
         out += ["%d,%.17g,%.17g,%.17g" % (n, est, err, trace.population)
@@ -182,7 +182,7 @@ def _cmd_converge(args):
         sys.stdout.write("\n".join(out) + "\n")
     else:
         _emit({"subcommand": "converge", "beta": args.beta,
-               "method": trace.method, "population": trace.population,
+               "method": "d1", "population": trace.population,
                "seeds": seeds,
                "rows": [{"n": n, "median_estimate": est,
                          "median_abs_error": err}
@@ -316,7 +316,6 @@ def build_parser():
     p.add_argument("--n-schedule", required=True,
                    help="comma separated sample sizes, increasing")
     p.add_argument("--seeds", required=True, help="comma separated seeds")
-    p.add_argument("--method", default="d1", choices=SWEEP_METHODS)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=_cmd_converge)
 

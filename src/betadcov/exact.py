@@ -18,9 +18,9 @@ and every route reads the same x, y and probs. It holds no distance
 matrix: d1 and d3 sweep row blocks of its kernels (DiscreteJoint.rows)
 through _d1_rows and _centered_products, the contractions the sample
 estimators and the consistency sweep call on the same points: O(k^2 d)
-time and O(k * block) memory per contraction. Both take one weight
-vector or a k x R matrix of weight columns, which one sweep contracts
-all at once. Only d2 builds the matrices.
+time and O(k * block) memory per contraction. _d1_rows also takes a
+k x R matrix of weight columns, which one sweep contracts all at once.
+Only d2 builds the matrices.
 """
 
 import os
@@ -31,7 +31,7 @@ import numpy as np
 from .metric import (as_points, distance_rows, euclidean, pairwise_distances,
                      row_blocks)
 
-#: default cap on support size for the O(k^4) quadruple sum
+#: cap on support size for the O(k^4) quadruple sum
 D2_SUPPORT_CAP = 64
 
 
@@ -156,11 +156,6 @@ def ttilde_eval(x1, x2, marginal_atoms, marginal_probs, spec):
     return a12 - row1 - row2 + grand
 
 
-def _columns(w):
-    """w as a k x R matrix of weight columns: a vector becomes one column."""
-    return w.reshape(w.shape[0], -1)
-
-
 def _d1_rows(rows, w):
     """Three-term pairwise-form contraction collected over row blocks.
 
@@ -175,7 +170,7 @@ def _d1_rows(rows, w):
     memory. A weight vector keeps the bits of its matrix-vector
     products; a column of a matrix sums in another order.
     """
-    cols = _columns(w)
+    cols = w.reshape(w.shape[0], -1)        # a vector becomes one column
     aw = np.empty(cols.shape, order="F")
     bw = np.empty(cols.shape, order="F")
     term1 = np.zeros(cols.shape[1])
@@ -198,60 +193,41 @@ def _centered_rows(rows, w):
     rows(lo, hi) returns a tuple of rows lo:hi of symmetric kernels, as
     arrays that may be overwritten. The first sweep collects the row
     sums (k w)_i of each kernel, and raises DomainError if they are not
-    finite; the second centers each block to
-    k_ij - (k w)_i - (k w)_j + w'k w and yields (lo, hi, j, blocks).
-    w is a weight vector (j = 0, and each block is centered in place) or
-    a k x R matrix of weight columns: then the first sweep gives every
-    column's row sums, and the second builds each block once and yields
-    it centered for each column j in turn, in buffers reused until the
-    next yield.
+    finite; the second centers each block in place to
+    k_ij - (k w)_i - (k w)_j + w'k w and yields (lo, hi, blocks).
     """
-    cols = _columns(w)
-    blocks = row_blocks(len(cols))
-    per_block = [[k @ cols for k in rows(lo, hi)] for lo, hi in blocks]
+    blocks = row_blocks(w.size)
+    per_block = [[k @ w for k in rows(lo, hi)] for lo, hi in blocks]
     kw = [np.concatenate(parts) for parts in zip(*per_block)]
-    del per_block
-    means = [np.vecdot(cols, r, axis=0) for r in kw]
+    means = [float(w @ r) for r in kw]
     _require_finite(kw, means)
     col = [r - m for r, m in zip(kw, means)]    # (k w)_j - w'k w
-    out = None
     for lo, hi in blocks:
         ks = rows(lo, hi)
-        if w.ndim == 1:
-            out = ks
-        elif out is None or len(out[0]) != hi - lo:
-            out = [np.empty_like(k) for k in ks]
-        for j in range(cols.shape[1]):
-            centered = [np.subtract(k, r[lo:hi, j, None], out=o)
-                        for k, o, r in zip(ks, out, kw)]
-            for o, c in zip(centered, col):
-                o -= c[:, j]
-            yield lo, hi, j, centered
-        del ks                  # not held while the next block is built
+        for k, r, c in zip(ks, kw, col):
+            k -= r[lo:hi, None]
+            k -= c
+        yield lo, hi, ks
 
 
 def _centered_products(rows, w):
     """sum_ij w_i w_j (ca cb, ca ca, cb cb)_ij of the kernels rows(lo, hi).
 
-    w is a weight vector, or a k x R matrix of weight columns, which
-    gives a 3 x R array from one pair of sweeps (_centered_rows).
-    Raises DomainError if any sum is not finite.
+    Raises DomainError if any of the three is not finite.
     """
-    cols = _columns(w)
-    sums = np.zeros((3, cols.shape[1]))
-    for lo, hi, j, (a, b) in _centered_rows(rows, w):
-        v = cols[:, j]
-        sums[:, j] += [v[lo:hi] @ ((f * g) @ v)
-                       for f, g in ((a, b), (a, a), (b, b))]
+    sums = np.zeros(3)
+    for lo, hi, (a, b) in _centered_rows(rows, w):
+        sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
     _require_finite(sums, np.sqrt(sums[1:]))
-    return sums if w.ndim == 2 else sums[:, 0]
+    return sums
 
 
-def _dcov_d2(joint, cap):
+def _dcov_d2(joint):
     w = joint.probs
     k = w.size
-    if k > cap:
-        raise ValueError("support %d exceeds the quadruple-sum cap %d" % (k, cap))
+    if k > D2_SUPPORT_CAP:
+        raise ValueError("support %d exceeds the quadruple-sum cap %d"
+                         % (k, D2_SUPPORT_CAP))
     a = pairwise_distances(joint.x, joint.x_spec)
     b = pairwise_distances(joint.y, joint.y_spec)
     total = np.empty(k)
@@ -265,17 +241,18 @@ def _dcov_d2(joint, cap):
     return 0.25 * float(np.sum(total))
 
 
-def dcov_exact(joint, method="d1", d2_cap=D2_SUPPORT_CAP):
+def dcov_exact(joint, method="d1"):
     """Population beta-distance covariance of a finite discrete joint.
 
     method selects the defining expression: "d1" (pairwise products),
-    "d2" (four-point alternating sums, O(k^4), capped support) or "d3"
-    (doubly centered kernels). The three agree within 1e-10.
+    "d2" (four-point alternating sums, O(k^4), at most D2_SUPPORT_CAP
+    atoms) or "d3" (doubly centered kernels). The three agree within
+    1e-10.
     """
     if method == "d1":
         value = _d1_rows(joint.rows, joint.probs)
     elif method == "d2":
-        value = _dcov_d2(joint, d2_cap)
+        value = _dcov_d2(joint)
     elif method == "d3":
         value = float(_centered_products(joint.rows, joint.probs)[0])
     else:

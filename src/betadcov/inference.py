@@ -16,12 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import (_centered_products, _centered_rows, _d1_rows,
-                    _require_finite, _require_memory)
+from .exact import _centered_rows, _d1_rows, _require_finite, _require_memory
 from .metric import as_points, distance_rows, pairwise_distances, row_blocks
-
-#: estimators consistency_sweep can evaluate on resampled weights
-SWEEP_METHODS = ("d1", "centered")
 
 #: weights (atoms x replicates) contracted by one sweep of the kernel rows
 SWEEP_COLUMN_ELEMENTS = 1 << 20
@@ -90,7 +86,7 @@ def perm_test(sample, B=199, seed=None):
     def x_rows(lo, hi):
         return (distance_rows(sample.x, sample.x_spec, lo, hi),)
 
-    for lo, hi, _, (ca,) in _centered_rows(x_rows, w):
+    for lo, hi, (ca,) in _centered_rows(x_rows, w):
         wa = ca * ww                        # no unweighted sum to overflow
         cbb = cb[lo:hi]
         observed += np.vdot(wa, cbb)
@@ -118,19 +114,18 @@ class ConsistencyTrace:
 
     rows: tuple              # (n, median estimate, median absolute error)
     population: float
-    method: str
     seeds: tuple
 
 
-def consistency_sweep(joint, n_schedule, seeds, method="d1"):
+def consistency_sweep(joint, n_schedule, seeds):
     """Empirical consistency of the plug-in estimator on a finite joint.
 
     For each sample size n and seed draws the atom counts of n draws
     from the joint, Multinomial(n, probs) from the generator seeded
-    with [seed, n], evaluates the weighted plug-in estimator on the
-    resampled weights counts / n, and reports the median estimate and
-    median absolute error over seeds. The population is the exact d1
-    of the joint's weights. The replicates are the columns of one k x R
+    with [seed, n], evaluates the weighted plug-in d1 on the resampled
+    weights counts / n, and reports the median estimate and median
+    absolute error over seeds. The population is the exact d1 of the
+    joint's weights. The replicates are the columns of one k x R
     weight matrix, and one sweep of the joint's kernel rows
     (DiscreteJoint.rows) contracts all of them: O(k) per draw, O(k^2 d)
     for the kernel powers, built once, and O(k * R) memory for R
@@ -147,8 +142,6 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
         raise ValueError("sample sizes must be positive")
     if sorted(schedule) != schedule:
         raise ValueError("sample sizes must be increasing")
-    if method not in SWEEP_METHODS:
-        raise ValueError("method must be %s" % " or ".join(SWEEP_METHODS))
     k = joint.n
     population = _d1_rows(joint.rows, joint.probs)
     draws = [(n, seed) for n in schedule for seed in seeds]
@@ -160,16 +153,13 @@ def consistency_sweep(joint, n_schedule, seeds, method="d1"):
         for col, (n, seed) in zip(w.T, part):
             rng = np.random.default_rng([seed, n])
             col[:] = rng.multinomial(n, joint.probs) / n
-        if method == "d1":
-            ests.append(_d1_rows(joint.rows, w))
-        else:
-            ests.append(_centered_products(joint.rows, w)[0])
+        ests.append(_d1_rows(joint.rows, w))
     ests = np.concatenate(ests).reshape(len(schedule), len(seeds))
     rows = tuple((n, float(np.median(e)),
                   float(np.median(np.abs(e - population))))
                  for n, e in zip(schedule, ests))
     return ConsistencyTrace(rows=rows, population=population,
-                            method=method, seeds=tuple(seeds))
+                            seeds=tuple(seeds))
 
 
 def tail_diagnostic(points, spec):

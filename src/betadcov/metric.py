@@ -199,13 +199,3 @@ def pairwise_distances(points, spec):
     for lo, hi in row_blocks(n):
         out[lo:hi] = distance_rows(pts, spec, lo, hi)
     return out
-
-
-def norms_to_base(points, spec):
-    """Vector of d(x_i, o)**beta where o is the spec's base point."""
-    pts = as_points(points, spec)
-    if spec.kind == "euclidean":
-        d = np.linalg.norm(pts, axis=1)
-    else:
-        d = spec.table[pts, spec.base_index]
-    return d ** spec.beta

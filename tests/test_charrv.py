@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from betadcov import (DiscreteJoint, DomainError, PairedSample, QuadConfig,
-                      char_rv, charrv, dcov_centered, dcov_charrv_mc, dcov_hm,
-                      dcov_plugin_d1, euclidean, h_trunc, mean_sq_char_gap,
-                      mean_sq_char_gap_mc, scale_const)
+from betadcov import (DomainError, PairedSample, QuadConfig, charrv,
+                      dcov_centered, dcov_charrv_mc, dcov_hm, dcov_plugin_d1,
+                      euclidean, h_trunc, scale_const)
 from betadcov.charfn import log_panel_grid
 from betadcov.charrv import _collapse, _gaussian_moment
 from betadcov.exact import _d1_rows
@@ -133,67 +132,6 @@ def _old_table(beta, span):
     f = 1.0 / (2.0 ** beta - 1.0)
     wr = wr_raw * r ** (-1.0 - beta) * np.where(r > q.tmax / 2.0, 1.0 + f, 1.0)
     return _old_kernel_table(r, wr, span)
-
-
-class TestCharRV:
-    def test_degenerate_at_zero(self):
-        for r in (0.0, 1.0, 7.5):
-            assert char_rv(np.zeros((5, 2)), np.full(5, 0.2),
-                           [1.0, -1.0], r) == 1.0
-
-    def test_r_zero(self, rng):
-        pts = rng.normal(size=(6, 3))
-        assert char_rv(pts, np.full(6, 1 / 6), rng.normal(size=3), 0.0) == 1.0
-
-    def test_symmetric_two_atom_is_cosine(self):
-        pts = np.array([[-1.0], [1.0]])
-        for r in (0.3, 1.0, 4.0):
-            val = char_rv(pts, [0.5, 0.5], [0.7], r)
-            assert val == pytest.approx(np.cos(r * 0.7), abs=1e-14)
-
-    def test_modulus_bounded(self, rng):
-        pts = rng.normal(size=(10, 2)) * 5
-        w = rng.dirichlet(np.ones(10))
-        for _ in range(30):
-            val = char_rv(pts, w, rng.standard_normal(2), rng.uniform(0, 10))
-            assert abs(val) <= 1.0 + 1e-12
-
-    def test_factorization_under_independence(self, rng):
-        # for a product law the joint characteristic value splits into the
-        # product of the marginals, draw by draw
-        joint = DiscreteJoint.product(rng.normal(size=(3, 2)), [0.2, 0.3, 0.5],
-                                      rng.normal(size=(2, 1)), [0.4, 0.6],
-                                      euclidean(2, 1.0), euclidean(1, 1.0))
-        for _ in range(10):
-            xi = rng.standard_normal(2)
-            eta = rng.standard_normal(1)
-            r, s = rng.uniform(0.1, 3.0, size=2)
-            w = joint.probs
-            px = joint.x @ xi
-            py = joint.y @ eta
-            together = np.sum(w * np.exp(1j * (r * px + s * py)))
-            apart = (char_rv(joint.x, w, xi, r)
-                     * char_rv(joint.y, w, eta, s))
-            assert abs(together - apart) <= 1e-12
-
-
-class TestCharGapIdentity:
-    def test_exact_matches_monte_carlo(self, rng):
-        joint = DiscreteJoint(rng.normal(size=(4, 2)),
-                              rng.normal(size=(4, 2)),
-                              np.full(4, 0.25),
-                              euclidean(2, 1.0), euclidean(2, 1.0))
-        for r, s in ((0.5, 0.5), (1.0, 2.0), (3.0, 0.7)):
-            ex = mean_sq_char_gap(joint, r, s)
-            mc, se = mean_sq_char_gap_mc(joint, r, s, draws=4000, seed=11)
-            assert abs(mc - ex) <= 3.0 * se
-
-    def test_product_law_gap_zero(self, rng):
-        joint = DiscreteJoint.product(rng.normal(size=(2, 1)), [0.5, 0.5],
-                                      rng.normal(size=(3, 1)), [0.2, 0.3, 0.5],
-                                      euclidean(1, 1.0), euclidean(1, 1.0))
-        assert mean_sq_char_gap(joint, 1.0, 1.0) == pytest.approx(0.0,
-                                                                  abs=1e-14)
 
 
 class TestHTrunc:
@@ -384,18 +322,19 @@ class TestProjectionDraws:
                 / math.sqrt(math.pi), rel=1e-14)
         assert _gaussian_moment(2.0, 500) == pytest.approx(500.0, rel=1e-12)
 
-    def test_one_dimensional_parts_are_exact(self):
-        # unit directions in R^1 are +-1, so every draw is the exact d1
+    def test_one_dimensional_parts_are_exact(self, monkeypatch):
+        # unit directions in R^1 are +-1, so every draw is the exact d1:
+        # it is contracted once and reported with a stderr of 0
         rng = np.random.default_rng(8)
         x = rng.normal(size=(30, 1))
         y = x + rng.normal(size=(30, 1))
         sample = PairedSample(x, y, euclidean(1, 1.5), euclidean(1, 1.5))
-        est = dcov_charrv_mc(sample, draws=8, seed=4)
-        # equal draws; the mean over them may round, so the stderr is
-        # zero up to that rounding
-        assert est.stderr <= 1e-15 * est.value
+        est, vals = self._recorded(monkeypatch, sample, 2000, 4)
+        assert vals.size == 1
+        assert est.stderr == 0.0
         assert est.value == pytest.approx(dcov_plugin_d1(sample).value,
-                                          rel=1e-12)
+                                          rel=1e-15)
+        assert est.aux == {"draws": 2000, "grid_nodes": 0, "atoms": 30}
 
     @_CASES
     def test_quadrature_cosine_part_within_its_error(self, beta, dim,

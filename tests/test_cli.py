@@ -14,7 +14,6 @@ from betadcov import (DiscreteJoint, cli, dcov2_closed, dcov_centered,
                       dcov_charfn_1d, dcov_charrv_mc, dcov_exact, dcov_hm,
                       dcov_plugin_d1, euclidean, exact)
 from betadcov.cli import main
-from betadcov.inference import SWEEP_METHODS
 from betadcov.io import load_csv
 
 SCHEMA = json.loads(importlib.resources.files("betadcov")
@@ -514,6 +513,24 @@ def test_joint_input_is_read_once(joint_csv, monkeypatch, capsys, argv):
     assert reads == [joint_csv]
 
 
+# converge on the joint.csv fixture at --beta 1, --n-schedule 10,100,1000
+# and --seeds 1,2,3: fixed report bytes, the JSON without its wall time
+CONVERGE_BYTES = {
+    "csv": (b"n,median_estimate,median_abs_error,population\n"
+            b"10,0.23039999999999994,0.019600000000000062,0.25\n"
+            b"100,0.24820323999999994,0.0017967600000000639,0.25\n"
+            b"1000,0.25,0,0.25\n"),
+    "json": (b'{"beta": 1.0, "method": "d1", "population": 0.25, "rows": '
+             b'[{"median_abs_error": 0.019600000000000062, '
+             b'"median_estimate": 0.23039999999999994, "n": 10}, '
+             b'{"median_abs_error": 0.0017967600000000639, '
+             b'"median_estimate": 0.24820323999999994, "n": 100}, '
+             b'{"median_abs_error": 0.0, "median_estimate": 0.25, '
+             b'"n": 1000}], "seeds": [1, 2, 3], "subcommand": "converge", '
+             b'}\n'),
+}
+
+
 class TestOtherSubcommands:
     def test_test_subcommand(self, sample_csv):
         rc, out, _ = run_cli(["test", "--input", sample_csv,
@@ -545,6 +562,16 @@ class TestOtherSubcommands:
         report = check_schema(out)
         assert report["seeds"] == [1, 2, 3]
         assert "seed" not in report
+
+    @pytest.mark.parametrize("fmt", sorted(CONVERGE_BYTES))
+    def test_converge_report_bytes(self, joint_csv, fmt):
+        rc, out, _ = run_cli(["converge", "--input", joint_csv,
+                              "--x-cols", "x1", "--y-cols", "y1",
+                              "--beta", "1", "--prob-col", "prob",
+                              "--n-schedule", "10,100,1000",
+                              "--seeds", "1,2,3", "--format", fmt])
+        assert rc == 0
+        assert strip_wall_time(out).encode() == CONVERGE_BYTES[fmt]
 
     def test_diag(self, sample_csv):
         rc, out, _ = run_cli(["diag", "--input", sample_csv,
@@ -590,7 +617,6 @@ def _method_choices(subcommand):
 def test_method_registry_is_the_only_list():
     assert (set(SCHEMA["properties"]["method"]["enum"])
             == set(_method_choices("dcov")) == set(cli.METHODS))
-    assert set(_method_choices("converge")) == set(SWEEP_METHODS)
 
 
 def strip_wall_time(raw):

@@ -1,12 +1,14 @@
-"""Every function, class and method the package defines is named somewhere.
+"""Every function, class and method the package defines has a user.
 
 A companion to test_unused_imports: an ast pass over src/, tests/ and
 perfbench/ collects every name that is read (a name, an attribute, an
 imported name, or a string that is a dotted identifier, as getattr,
 monkeypatch and __all__ take them). A function, class or non-dunder
-method defined in src/betadcov that none of them names is dead code.
-A private (_-prefixed) one must be named in src/ itself: a helper that
-only tests call is dead code too.
+method defined in src/betadcov is dead code unless it is named:
+a private (_-prefixed) one in src/ itself, a public one in src/ outside
+__init__.py or in perfbench/. A public definition that only tests/ and
+__init__.py name is dead code too, unless README.md names it as part of
+the library's interface.
 """
 
 import ast
@@ -14,10 +16,9 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted(ROOT.glob("src/betadcov/*.py"))
-SOURCES = sorted(ROOT.glob("src/**/*.py"))
-FILES = sorted(set(SOURCES) | set(ROOT.glob("tests/*.py"))
-               | set(ROOT.glob("perfbench/*.py")))
+PACKAGE = sorted(ROOT.glob("src/**/*.py"))
+BENCH = sorted(ROOT.glob("perfbench/*.py"))
+TESTS = sorted(ROOT.glob("tests/*.py"))
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
@@ -62,29 +63,45 @@ def test_finds_a_dead_definition():
         (4, "dead")]
 
 
-def dead_definitions(package, sources, others):
-    """(path, line, name) of definitions in package named nowhere.
+def dead_definitions(package, bench, tests, readme):
+    """(path, line, name) of definitions in package without a user.
 
-    package maps paths to their source; sources and others are the
-    sources of src/ and of every other file scanned.
+    package maps the paths of src/ to their source; bench and tests are
+    the sources of perfbench/ and tests/, and readme the README text.
     """
-    in_src = set().union(*map(named, sources))
-    anywhere = in_src.union(*map(named, others))
+    in_src = set().union(*map(named, package.values()))
+    in_code = set().union(*(named(source) for path, source in package.items()
+                            if Path(path).name != "__init__.py"),
+                          *map(named, bench))
+    anywhere = in_src.union(*map(named, tests))
+    documented = anywhere & set(re.findall(r"\w+", readme))
     return [(path, line, name) for path, source in package.items()
             for line, name in definitions(source)
-            if name not in (in_src if name.startswith("_") else anywhere)]
+            if name not in (in_src if name.startswith("_")
+                            else in_code | documented)]
 
 
 def test_private_definition_named_only_in_tests_is_dead():
     source = "def _helper():\n    pass\ndef public():\n    pass\n"
     test = "_helper()\npublic()\n"
-    assert dead_definitions({"m.py": source}, [source], [test]) == [
+    assert dead_definitions({"m.py": source}, [test], [], "") == [
         ("m.py", 1, "_helper")]
+
+
+def test_public_definition_named_only_in_tests_needs_the_readme():
+    source = "def shown():\n    pass\ndef hidden():\n    pass\n"
+    init = "from .m import hidden, shown\n"
+    test = "shown()\nhidden()\n"
+    package = {"m.py": source, "__init__.py": init}
+    assert dead_definitions(package, [], [test], "`shown(x)`") == [
+        ("m.py", 3, "hidden")]
+    assert dead_definitions(package, [test], [], "") == []
 
 
 def test_every_definition_is_named():
     dead = dead_definitions(
         {path.relative_to(ROOT): path.read_text() for path in PACKAGE},
-        [path.read_text() for path in SOURCES],
-        [path.read_text() for path in FILES if path not in SOURCES])
+        [path.read_text() for path in BENCH],
+        [path.read_text() for path in TESTS],
+        (ROOT / "README.md").read_text())
     assert ["%s:%d %s" % d for d in dead] == []

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from betadcov import (DiscreteJoint, consistency_sweep, dcov_exact, euclidean,
-                      hhat_eval, pairwise_distances, projection_demo, table,
-                      ttilde_eval)
+                      exact, hhat_eval, pairwise_distances, projection_demo,
+                      table, ttilde_eval)
 from betadcov.exact import _centered_products, _d1_rows
 from betadcov.metric import row_blocks
 from conftest import random_joint, random_table_joint
@@ -133,10 +133,13 @@ class TestDcovExact:
             joint = random_joint(rng, beta=beta)
             assert dcov_exact(joint).value >= -1e-12
 
-    def test_quadruple_sum_cap(self, rng):
-        joint = random_joint(rng, support=5)
-        with pytest.raises(ValueError):
-            dcov_exact(joint, "d2", d2_cap=4)
+    def test_quadruple_sum_cap(self, rng, monkeypatch):
+        # 65 atoms are refused before any distance is computed
+        joint = random_joint(rng, support=65)
+        monkeypatch.setattr(exact, "pairwise_distances", None)
+        with pytest.raises(ValueError, match="^support 65 exceeds the "
+                           "quadruple-sum cap 64$"):
+            dcov_exact(joint, "d2")
 
     def test_unknown_method(self, bernoulli_joint):
         with pytest.raises(ValueError):
@@ -191,12 +194,6 @@ def test_property_d3_equals_d1_nonuniform(joint):
     assert abs(dcov_exact(joint, "d3").value - d1) <= 1e-10 * scale
 
 
-_SWEEP_CONTRACTIONS = {
-    "d1": lambda joint, w: _d1_rows(joint.rows, w),
-    "centered": lambda joint, w: float(_centered_products(joint.rows, w)[0]),
-}
-
-
 def _term_scale(a, b, w):
     """|t1| + |t2| + 2|t3| of the d1 terms of dense kernels a, b under w:
     the scale that bounds the rounding of every contraction of them."""
@@ -205,24 +202,21 @@ def _term_scale(a, b, w):
             + 2.0 * abs(np.sum(w * aw * bw)) + 1e-300)
 
 
-@pytest.mark.parametrize("method", sorted(_SWEEP_CONTRACTIONS))
-def test_centered_routes_leave_cached_distances_untouched(rng, method):
+def test_sweep_replicates_match_their_own_contraction(rng):
     # every replicate is a weight column of one sweep of freshly computed
-    # kernel rows; its multinomial weights may be zero, and centering a
-    # block for one column changes nothing that the next column reads.
-    # A column sums in another order than a single-vector call, so each
-    # is held to 1e-12 of the d1 term scale; the population is the
+    # kernel rows, and its multinomial weights may be zero. A column
+    # sums in another order than a single-vector call, so each is held
+    # to 1e-12 of the d1 term scale; the population is the
     # single-vector call itself
     joint = random_joint(rng, support=6, dim_x=2, dim_y=2)
     a = pairwise_distances(joint.x, joint.x_spec)
     b = pairwise_distances(joint.y, joint.y_spec)
     seed = 1
-    trace = consistency_sweep(joint, [3, 10, 40, 200], [seed],
-                              method=method)
+    trace = consistency_sweep(joint, [3, 10, 40, 200], [seed])
     for n, est, _ in trace.rows:
         counts = np.random.default_rng([seed, n]).multinomial(n, joint.probs)
         w = counts / n
-        assert abs(est - _SWEEP_CONTRACTIONS[method](joint, w)) <= (
+        assert abs(est - _d1_rows(joint.rows, w)) <= (
             1e-12 * _term_scale(a, b, w))
     assert trace.population == dcov_exact(joint, "d1").value
 
@@ -325,16 +319,11 @@ def test_property_weight_columns_match_single_vectors(joint, columns, seed):
     b = pairwise_distances(joint.y, joint.y_spec)
     w = _with_zeros(joint, seed, columns)
     d1 = _d1_rows(joint.rows, w)
-    sums = _centered_products(joint.rows, w)
-    assert d1.shape == (columns,) and sums.shape == (3, columns)
+    assert d1.shape == (columns,)
     for j in range(columns):
         v = w[:, j].copy()
         assert abs(d1[j] - _d1_rows(joint.rows, v)) <= (
             1e-12 * _term_scale(a, b, v))
-        one = _centered_products(joint.rows, v)
-        for got, want, (f, g) in zip(sums[:, j], one,
-                                     ((a, b), (a, a), (b, b))):
-            assert abs(got - want) <= 1e-12 * _term_scale(f, g, v)
 
 
 def test_exact_d1_holds_no_k_by_k_matrix():

@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from betadcov import (DiscreteJoint, MomentFlags, PairedSample,
                       consistency_sweep, dcor, dcov_centered, dcov_exact,
@@ -288,38 +286,11 @@ class TestConsistencySweep:
         assert trace.population == pytest.approx(0.0, abs=1e-15)
         assert trace.rows[1][2] < trace.rows[0][2]
 
-    def test_centered_variant_agrees(self, bernoulli_joint):
-        t1 = consistency_sweep(bernoulli_joint, [500], seeds=[5], method="d1")
-        t2 = consistency_sweep(bernoulli_joint, [500], seeds=[5],
-                               method="centered")
-        assert t1.rows[0][1] == pytest.approx(t2.rows[0][1], abs=1e-12)
-
-    @given(st.integers(3, 10), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([0.5, 1.0, 1.5]))
-    def test_property_centered_equals_d1_with_zero_weights(self, k, seed,
-                                                           beta):
-        joint = random_joint(np.random.default_rng(seed), support=k,
-                             beta=beta)
-        # fewer draws than atoms, so every replicate leaves atoms with
-        # zero weight; one seed per sweep makes each median one replicate
-        schedule = list(range(1, k))
-        d1 = consistency_sweep(joint, schedule, [seed], method="d1")
-        centered = consistency_sweep(joint, schedule, [seed],
-                                     method="centered")
-        # the weights sum to 1, so max a * max b bounds every term
-        scale = (pairwise_distances(joint.x, joint.x_spec).max()
-                 * pairwise_distances(joint.y, joint.y_spec).max()
-                 + 1e-300)
-        for row_d1, row_c in zip(d1.rows, centered.rows):
-            assert abs(row_c[1] - row_d1[1]) <= 1e-10 * scale
-
     def test_validation(self, bernoulli_joint):
         with pytest.raises(ValueError):
             consistency_sweep(bernoulli_joint, [], seeds=[1])
         with pytest.raises(ValueError):
             consistency_sweep(bernoulli_joint, [100, 10], seeds=[1])
-        with pytest.raises(ValueError):
-            consistency_sweep(bernoulli_joint, [10], seeds=[1], method="bad")
 
     @pytest.mark.parametrize("schedule, seeds, message", [
         ([0, 10], [1], "sample sizes must be positive"),
@@ -384,10 +355,8 @@ class TestConsistencySweep:
         np.median(np.ones(3))
         tracemalloc.start()
         try:
-            for method in ("d1", "centered"):
-                trace = consistency_sweep(joint, [10, 100], seeds=[1, 2],
-                                          method=method)
-                assert trace.population == dcov_exact(joint, "d1").value
+            trace = consistency_sweep(joint, [10, 100], seeds=[1, 2])
+            assert trace.population == dcov_exact(joint, "d1").value
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from betadcov import (euclidean, norms_to_base, pairwise_distances, table,
+from betadcov import (euclidean, pairwise_distances, table,
                       validate_table_metric)
 from betadcov.metric import MetricSpec, as_points
 
@@ -19,14 +19,6 @@ def test_two_points_beta_half():
 def test_identical_points_zero_matrix():
     d = pairwise_distances([[1.5, 2.0]] * 3, euclidean(2, 1.7))
     assert np.all(d == 0.0)
-
-
-def test_norms_to_base_examples():
-    assert norms_to_base([[3.0, 4.0]], euclidean(2, 1.0))[0] == pytest.approx(5.0)
-    assert norms_to_base([[3.0, 4.0]], euclidean(2, 2.0))[0] == pytest.approx(25.0)
-    t = table([[0.0, 1.0], [1.0, 0.0]], beta=1.0, base_index=0)
-    assert norms_to_base([0], t)[0] == 0.0
-    assert norms_to_base([1], t)[0] == 1.0
 
 
 def test_validate_table_ok():
