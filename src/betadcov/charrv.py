@@ -20,8 +20,9 @@ E|xi|^beta E|eta|^beta E d1(u.X, v.Y): the route averages over the
 directions only, with the norms taken at their expectation, which
 removes the heavy-tailed |xi|^beta |eta|^beta factor from every draw
 and cannot raise the variance. Each draw is the d1 of the projections
-onto the two unit directions, computed by the shared contraction over
-row blocks of the projected distances; the estimate is the mean over
+onto the two unit directions. The draws go through the shared
+contraction in chunks: one sweep takes the stacked |gap|^beta kernels
+of a chunk's projections (metric.gap_rows); the estimate is the mean over
 draws times E|xi|^beta E|eta|^beta / kappa^2 (the random-projection
 estimator of Huo and Szekely 2016, with uniform directions). With
 one-dimensional parts the directions are +-1 and every draw is the same
@@ -33,7 +34,11 @@ import math
 import numpy as np
 
 from .exact import DcovEstimate, DiscreteJoint, DomainError, _d1_rows
-from .metric import distance_rows, euclidean, squared_distance_rows
+from .metric import gap_rows, row_blocks, squared_distance_rows
+
+#: kernel entries (draws x rows x atoms) in one row block of a stack of
+#: draws; it sets both the draws per sweep and their row blocks
+STACK_ELEMENTS = 1 << 15
 
 
 def _collapse(points):
@@ -65,10 +70,14 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
     scaled to unit length, and computes the exact one-dimensional
     weighted d1 of the projected points; value and stderr are the mean
     and standard error over draws, times E|xi|^beta E|eta|^beta /
-    kappa^2 (_gaussian_moment). With one-dimensional parts the unit
-    directions are +-1 and every draw is the exact d1, so that d1 is
-    computed once and reported with a stderr of 0. Deterministic for a
-    fixed (seed, draws) pair.
+    kappa^2 (_gaussian_moment). The draws are contracted in chunks,
+    each one sweep of stacked kernels of at most STACK_ELEMENTS entries
+    per row block. Deterministic for a fixed (seed, draws) pair.
+
+    With one-dimensional parts the unit directions are +-1 and every
+    draw would be the exact d1, so no draw is made: that d1 is computed
+    once and reported with a stderr of 0, seed and draws are not read,
+    and aux["draws"], the number of draws contracted, is 0.
     """
     if sample.x_spec.kind != "euclidean" or sample.y_spec.kind != "euclidean":
         raise ValueError("Gaussian projection route needs Euclidean parts")
@@ -77,40 +86,43 @@ def dcov_charrv_mc(sample, draws=2000, seed=None):
     beta = sample.beta
     if not 0 < beta < 2:
         raise DomainError("beta must lie in (0, 2), got %g" % beta)
-    if draws < 2:
-        raise ValueError("need at least 2 draws for a standard error")
-    if seed is None:
-        raise ValueError("seed is required (no silent nondeterminism)")
 
     atoms = _collapse(sample)
     x, y, w = atoms.x, atoms.y, atoms.probs
-    aux = {"draws": draws, "grid_nodes": 0, "atoms": atoms.n}
-    if x.shape[1] == y.shape[1] == 1:
+    dx, dy = x.shape[1], y.shape[1]
+    aux = {"draws": 0, "grid_nodes": 0, "atoms": atoms.n}
+    if dx == dy == 1:
         return DcovEstimate(value=_d1_rows(atoms.rows, w), method="charrv",
                             beta=beta, n=sample.n, stderr=0.0, aux=aux)
-    streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(seed).spawn(draws)]
-    xis = np.stack([rg.standard_normal(x.shape[1]) for rg in streams])
-    etas = np.stack([rg.standard_normal(y.shape[1]) for rg in streams])
-    # atom x draw projections onto the unit directions
-    px = x @ (xis / np.linalg.norm(xis, axis=1)[:, None]).T
-    py = y @ (etas / np.linalg.norm(etas, axis=1)[:, None]).T
-    spec = euclidean(1, beta)
+    if draws < 2:
+        raise ValueError("need at least 2 draws for a standard error")
+    if seed is None:
+        raise ValueError("seed is required unless both parts are 1-D "
+                         "(no silent nondeterminism)")
+    # one spawned stream per draw; its one call gives xi, then eta
+    z = np.stack([np.random.default_rng(s).standard_normal(dx + dy)
+                  for s in np.random.SeedSequence(seed).spawn(draws)])
+    # draw x atom projections onto the unit directions
+    px, py = ((d / np.linalg.norm(d, axis=1)[:, None]) @ pts.T
+              for d, pts in ((z[:, :dx], x), (z[:, dx:], y)))
 
     def rows(lo, hi):
-        # kernels |gap|^beta of the projections p, q of the current draw
-        return distance_rows(p, spec, lo, hi), distance_rows(q, spec, lo, hi)
+        # stacked kernels |gap|^beta of the projections p, q of a chunk
+        return gap_rows(p, beta, lo, hi), gap_rows(q, beta, lo, hi)
 
+    chunk = max(1, STACK_ELEMENTS // atoms.n ** 2)    # draws per sweep
+    blocks = row_blocks(atoms.n, STACK_ELEMENTS // chunk)
     vals = np.empty(draws)
-    for i in range(draws):
-        p, q = px[:, i:i + 1], py[:, i:i + 1]
-        vals[i] = _d1_rows(rows, w)
+    for lo in range(0, draws, chunk):
+        p, q = px[lo:lo + chunk], py[lo:lo + chunk]
+        vals[lo:lo + chunk] = _d1_rows(rows, w, blocks)
 
     # E|xi|^beta E|eta|^beta / kappa^2, where a 1-D side's factor is 1
     scale = math.prod(_gaussian_moment(beta, d) / _gaussian_moment(beta)
-                      for d in (x.shape[1], y.shape[1]))
+                      for d in (dx, dy))
     value = float(vals.mean()) * scale
     stderr = float(vals.std(ddof=1)) / math.sqrt(draws) * scale
+    aux["draws"] = draws
     return DcovEstimate(value=value, method="charrv", beta=beta,
                         n=sample.n, stderr=stderr, aux=aux)
 

@@ -91,8 +91,7 @@ def _max_sq_distance(pts):
 
 
 def _charrv(sample, args):
-    if args.seed is None:
-        raise ValueError("--seed is required for method charrv")
+    # the library refuses a missing seed where it makes draws
     draws = 2000 if args.draws is None else args.draws
     return dcov_charrv_mc(sample, draws=draws, seed=args.seed)
 
@@ -291,7 +290,8 @@ def build_parser():
     _sample_args(p)
     p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--seed", type=int, default=None,
-                   help="random seed for method charrv")
+                   help="random seed for method charrv (required unless "
+                        "both parts are 1-D)")
     p.add_argument("--draws", type=int, default=None,
                    help="Monte Carlo draws for method charrv (default 2000)")
     p.add_argument("--trunc-m", type=float, default=None,

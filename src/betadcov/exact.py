@@ -19,8 +19,9 @@ matrix: d1 and d3 sweep row blocks of its kernels (DiscreteJoint.rows)
 through _d1_rows and _centered_products, the contractions the sample
 estimators and the consistency sweep call on the same points: O(k^2 d)
 time and O(k * block) memory per contraction. _d1_rows also takes a
-k x R matrix of weight columns, which one sweep contracts all at once.
-Only d2 builds the matrices.
+k x R matrix of weight columns, which one sweep contracts all at once,
+and kernel rows with leading batch axes, a stack of kernel pairs under
+the same weights (the charrv draws). Only d2 builds the matrices.
 """
 
 import os
@@ -156,35 +157,47 @@ def ttilde_eval(x1, x2, marginal_atoms, marginal_probs, spec):
     return a12 - row1 - row2 + grand
 
 
-def _d1_rows(rows, w):
+def _d1_rows(rows, w, blocks=None):
     """Three-term pairwise-form contraction collected over row blocks.
 
     rows(lo, hi) returns rows lo:hi of two kernels a, b that are both
     symmetric or both antisymmetric. Returns sum_ij w_i w_j a_ij b_ij
     + (w'a w)(w'b w) - 2 sum_i w_i (a w)_i (b w)_i, holding one row
     block at a time, and raises DomainError if that is not finite.
+    blocks are the (lo, hi) bounds swept, row_blocks(k) by default.
 
     w is a weight vector, or a k x R matrix whose columns are R weight
     vectors; then one sweep of the rows gives all R values, as an array,
     from a @ W, b @ W and (a * b) @ W per block, in O(k * R) extra
     memory. A weight vector keeps the bits of its matrix-vector
     products; a column of a matrix sums in another order.
+
+    The kernel rows may carry leading batch axes: a (D, hi - lo, k)
+    pair of stacks is D kernel pairs under the same weights, contracted
+    by stacked products in the same sweep, and the value gains those
+    axes in front (D values for a weight vector, D x R for columns).
     """
     cols = w.reshape(w.shape[0], -1)        # a vector becomes one column
-    aw = np.empty(cols.shape, order="F")
-    bw = np.empty(cols.shape, order="F")
-    term1 = np.zeros(cols.shape[1])
-    for lo, hi in row_blocks(len(cols)):
+    aw = None
+    for lo, hi in row_blocks(len(cols)) if blocks is None else blocks:
         a, b = rows(lo, hi)
-        aw[lo:hi] = a @ cols
-        bw[lo:hi] = b @ cols
-        term1 += np.vecdot(cols[lo:hi], (a * b) @ cols, axis=0)
-    mean_a = np.vecdot(cols, aw, axis=0)
-    mean_b = np.vecdot(cols, bw, axis=0)
-    term3 = np.sum(cols * (aw * bw), axis=0)
+        if aw is None:
+            # the kernels' batch axes, () for one pair
+            shape = a.shape[:-2] + cols.shape
+            aw = np.empty(shape, order="F")
+            bw = np.empty(shape, order="F")
+            term1 = np.zeros(shape[:-2] + shape[-1:])
+        aw[..., lo:hi, :] = a @ cols
+        bw[..., lo:hi, :] = b @ cols
+        term1 += np.vecdot(cols[lo:hi], (a * b) @ cols, axis=-2)
+    mean_a = np.vecdot(cols, aw, axis=-2)
+    mean_b = np.vecdot(cols, bw, axis=-2)
+    term3 = np.sum(cols * (aw * bw), axis=-2)
     value = term1 + mean_a * mean_b - 2.0 * term3
     _require_finite(value, (mean_a, mean_b))
-    return value if w.ndim == 2 else float(value[0])
+    if w.ndim == 1:
+        value = value[..., 0]
+    return float(value) if value.ndim == 0 else value
 
 
 def _centered_rows(rows, w):

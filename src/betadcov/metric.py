@@ -12,6 +12,14 @@ coordinate differences, summed one coordinate at a time, never from
 the Gram identity |x|^2 + |y|^2 - 2 x.y, which loses the digits of
 nearby points. pairwise_distances assembles the full matrix from the
 same blocks.
+
+One-dimensional kernels are powers of the gap |x_i - x_j| itself
+(gap_rows), not of its square: at beta = 1 that is bit-identical to
+the square root of the squared distance wherever the square neither
+overflows nor underflows. So a 1-D kernel overflows only where
+|gap|^beta leaves the double range, not where gap^2 does (from about
+1.3e154), and gaps below about 1e-162 are no longer flushed to 0.
+Multi-dimensional kernels keep (d^2)^(beta/2).
 """
 
 from dataclasses import dataclass, field
@@ -162,9 +170,13 @@ def as_points(points, spec):
     return idx
 
 
-def row_blocks(n):
-    """Bounds (lo, hi) of consecutive row blocks of an n-column kernel."""
-    rows = max(1, BLOCK_ELEMENTS // max(n, 1))
+def row_blocks(n, elements=None):
+    """Bounds (lo, hi) of consecutive row blocks of an n-column kernel.
+
+    Each block holds at most elements entries (BLOCK_ELEMENTS by
+    default), and one row at least.
+    """
+    rows = max(1, (elements or BLOCK_ELEMENTS) // max(n, 1))
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
@@ -183,10 +195,32 @@ def squared_distance_rows(pts, lo, hi):
     return out
 
 
+def gap_rows(p, beta, lo, hi):
+    """Rows lo:hi of |p_i - p_j|**beta for scalar points p[..., k].
+
+    Leading axes of p are batch axes: p of shape (D, k) gives a (D,
+    hi - lo, k) stack of kernel rows. The power is taken of the gap
+    itself, never of its square, and costs nothing at beta = 1, one
+    square root at beta = 0.5 and a square root and a product at
+    beta = 1.5; any other beta takes a general power.
+    """
+    g = np.subtract(p[..., lo:hi, None], p[..., None, :])
+    np.abs(g, out=g)
+    if beta == 0.5:
+        np.sqrt(g, out=g)
+    elif beta == 1.5:
+        g *= np.sqrt(g)
+    elif beta != 1:
+        np.power(g, beta, out=g)
+    return g
+
+
 def distance_rows(pts, spec, lo, hi):
     """Rows lo:hi of d(x_i, x_j)**beta for points normalized by as_points."""
     if spec.kind == "table":
         return spec.table[np.ix_(pts[lo:hi], pts)] ** spec.beta
+    if spec.dim == 1:
+        return gap_rows(pts[:, 0], spec.beta, lo, hi)
     # (d^2)^(beta/2); numpy evaluates ** 0.5 as a square root
     return squared_distance_rows(pts, lo, hi) ** (0.5 * spec.beta)
 

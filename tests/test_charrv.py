@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,10 +234,16 @@ class TestDcovCharRVMC:
         x = rng.normal(size=(10, 1))
         with pytest.raises(DomainError):
             dcov_charrv_mc(PairedSample(x, x, sp2, sp2), draws=10, seed=1)
-        with pytest.raises(ValueError):
-            dcov_charrv_mc(PairedSample(x, x, sp, sp), draws=1, seed=1)
-        with pytest.raises(ValueError):
-            dcov_charrv_mc(PairedSample(x, x, sp, sp), draws=10)
+        # draws and seed are read only where a part has more than one
+        # dimension; with 1-D parts no draw is made
+        wide = PairedSample(np.hstack([x, x ** 2]), x, euclidean(2, 1.0), sp)
+        with pytest.raises(ValueError, match="2 draws"):
+            dcov_charrv_mc(wide, draws=1, seed=1)
+        with pytest.raises(ValueError, match="^seed is required unless"):
+            dcov_charrv_mc(wide, draws=10)
+        one_d = PairedSample(x, x, sp, sp)
+        assert (dcov_charrv_mc(one_d, draws=1).value
+                == dcov_charrv_mc(one_d, draws=10, seed=1).value)
 
 
 
@@ -246,27 +253,36 @@ class TestProjectionDraws:
 
     @staticmethod
     def _recorded(monkeypatch, sample, draws, seed):
-        """dcov_charrv_mc's estimate and the value of each of its draws."""
-        vals = []
+        """dcov_charrv_mc's estimate and the values of its contractions:
+        an array of draws per call, or one float for 1-D parts."""
+        calls = []
 
-        def record(rows, w):
-            vals.append(_d1_rows(rows, w))
-            return vals[-1]
+        def record(rows, w, *blocks):
+            calls.append(_d1_rows(rows, w, *blocks))
+            return calls[-1]
 
         monkeypatch.setattr(charrv, "_d1_rows", record)
         est = dcov_charrv_mc(sample, draws=draws, seed=seed)
-        return est, np.array(vals)
+        return est, calls
+
+    @staticmethod
+    def _check_draws(vals, sample, draws, seed):
+        """Each draw within 1e-12 of its d1 term scale of the dense d1."""
+        w, px, py = _projections(sample, draws, seed)
+        assert vals.shape == (draws,)
+        for i in range(draws):
+            t1, t2, t3 = _dense_terms(px[:, i], py[:, i], w, sample.beta)
+            scale = abs(t1) + abs(t2) + 2.0 * abs(t3)
+            assert abs(vals[i] - (t1 + t2 - 2.0 * t3)) <= 1e-12 * scale
 
     @_CASES
     def test_each_draw_is_dense_1d_d1(self, monkeypatch, beta, dim, collapsed):
         sample = _case(beta, dim, collapsed)
-        est, vals = self._recorded(monkeypatch, sample, 16, 23)
-        w, px, py = _projections(sample, 16, 23)
-        assert vals.size == 16
-        for i in range(16):
-            t1, t2, t3 = _dense_terms(px[:, i], py[:, i], w, beta)
-            scale = abs(t1) + abs(t2) + 2.0 * abs(t3)
-            assert abs(vals[i] - (t1 + t2 - 2.0 * t3)) <= 1e-12 * scale
+        est, calls = self._recorded(monkeypatch, sample, 16, 23)
+        # at most 40 atoms: all 16 draws fit one stack
+        assert len(calls) == 1
+        vals = calls[0]
+        self._check_draws(vals, sample, 16, 23)
         # the norms enter at their expectation: E|xi|^beta E|eta|^beta
         # over E|N(0,1)|^beta^2, which is 1 when both sides are 1-D
         scale = math.prod(_gaussian_moment(beta, d) / _gaussian_moment(beta)
@@ -289,19 +305,19 @@ class TestProjectionDraws:
         sample = PairedSample(x, y, euclidean(3, 1.0), euclidean(2, 1.0))
         seen = []
 
-        def record(pts, spec, lo, hi):
+        def record(p, beta, lo, hi):
             if lo == 0:
-                seen.append(pts.copy())
-            return charrv_distance_rows(pts, spec, lo, hi)
+                seen.append(p.copy())
+            return charrv_gap_rows(p, beta, lo, hi)
 
-        charrv_distance_rows = charrv.distance_rows
-        monkeypatch.setattr(charrv, "distance_rows", record)
+        charrv_gap_rows = charrv.gap_rows
+        monkeypatch.setattr(charrv, "gap_rows", record)
         dcov_charrv_mc(sample, draws=7, seed=23)
         _, px, py = _projections(sample, 7, 23)
-        assert len(seen) == 14
-        for i in range(7):
-            np.testing.assert_array_equal(seen[2 * i][:, 0], px[:, i])
-            np.testing.assert_array_equal(seen[2 * i + 1][:, 0], py[:, i])
+        # one stack of all 7 draws per side, x first
+        assert len(seen) == 2
+        np.testing.assert_array_equal(seen[0], px.T)
+        np.testing.assert_array_equal(seen[1], py.T)
         us, _ = _units(23, 7, 3, 2)
         np.testing.assert_allclose(np.linalg.norm(us, axis=1), 1.0,
                                    rtol=1e-15)
@@ -323,18 +339,54 @@ class TestProjectionDraws:
         assert _gaussian_moment(2.0, 500) == pytest.approx(500.0, rel=1e-12)
 
     def test_one_dimensional_parts_are_exact(self, monkeypatch):
-        # unit directions in R^1 are +-1, so every draw is the exact d1:
-        # it is contracted once and reported with a stderr of 0
+        # unit directions in R^1 are +-1, so every draw would be the
+        # exact d1: it is contracted once, no draw is made, and it is
+        # reported with a stderr of 0
         rng = np.random.default_rng(8)
         x = rng.normal(size=(30, 1))
         y = x + rng.normal(size=(30, 1))
         sample = PairedSample(x, y, euclidean(1, 1.5), euclidean(1, 1.5))
-        est, vals = self._recorded(monkeypatch, sample, 2000, 4)
-        assert vals.size == 1
+        est, calls = self._recorded(monkeypatch, sample, 2000, 4)
+        assert len(calls) == 1 and type(calls[0]) is float
         assert est.stderr == 0.0
         assert est.value == pytest.approx(dcov_plugin_d1(sample).value,
                                           rel=1e-15)
-        assert est.aux == {"draws": 2000, "grid_nodes": 0, "atoms": 30}
+        assert est.aux == {"draws": 0, "grid_nodes": 0, "atoms": 30}
+
+    @pytest.mark.parametrize("per_draw", [3, 1 / 3])
+    def test_chunks_that_do_not_divide_the_draws(self, monkeypatch,
+                                                 per_draw):
+        # a stack of 3 draws (16 = 5 * 3 + 1), or one draw per sweep in
+        # row blocks of a third of the kernel
+        sample = _case(1.5, 3, False)
+        k = _collapse(sample).n
+        monkeypatch.setattr(charrv, "STACK_ELEMENTS", int(per_draw * k * k))
+        est, calls = self._recorded(monkeypatch, sample, 16, 23)
+        assert [c.size for c in calls] == (
+            [3] * 5 + [1] if per_draw == 3 else [1] * 16)
+        vals = np.concatenate(calls)
+        self._check_draws(vals, sample, 16, 23)
+        scale = (_gaussian_moment(1.5, 3) * _gaussian_moment(1.5, 2)
+                 / _gaussian_moment(1.5) ** 2)
+        assert est.value == float(vals.mean()) * scale
+
+    def test_peak_memory_is_a_few_block_stacks(self):
+        # n = 200 distinct rows, 64 draws: no draw's kernel is held
+        # whole (one stack of 163 of its 200 rows, 255 KB), and the
+        # peak stays within five stacks of STACK_ELEMENTS doubles: the
+        # two kernel stacks, their product, a power's temporary, and
+        # the projections and weights
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(200, 3))
+        y = x[:, :2] + rng.normal(size=(200, 2))
+        sample = PairedSample(x, y, euclidean(3, 1.5), euclidean(2, 1.5))
+        tracemalloc.start()
+        try:
+            dcov_charrv_mc(sample, draws=64, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * charrv.STACK_ELEMENTS
 
     @_CASES
     def test_quadrature_cosine_part_within_its_error(self, beta, dim,

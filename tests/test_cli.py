@@ -12,9 +12,10 @@ import pytest
 
 from betadcov import (DiscreteJoint, cli, dcov2_closed, dcov_centered,
                       dcov_charfn_1d, dcov_charrv_mc, dcov_exact, dcov_hm,
-                      dcov_plugin_d1, euclidean, exact)
+                      dcov_plugin_d1, euclidean, exact, metric)
 from betadcov.cli import main
 from betadcov.io import load_csv
+from betadcov.metric import squared_distance_rows
 
 SCHEMA = json.loads(importlib.resources.files("betadcov")
                     .joinpath("report_schema.json").read_text())
@@ -81,11 +82,28 @@ class TestDcov:
         assert report["error_estimate"] is not None
 
     def test_charrv_needs_seed(self, sample_csv):
+        # a 2-dim x: the draws need a seed
         rc, _, err = run_cli(["dcov", "--input", sample_csv,
-                              "--x-cols", "x1", "--y-cols", "y1",
+                              "--x-cols", "x1,y1", "--y-cols", "y1",
                               "--beta", "1", "--method", "charrv"])
         assert rc == 2
         assert "seed" in err
+
+    def test_one_dimensional_charrv_reads_no_seed(self, sample_csv):
+        # with 1-D parts no draw is made: the report is the exact d1,
+        # whatever the seed and draw count, with a stderr of 0
+        args = ["dcov", "--input", sample_csv, "--x-cols", "x1",
+                "--y-cols", "y1", "--beta", "1"]
+        rc, out, _ = run_cli(args + ["--method", "d1"])
+        assert rc == 0
+        d1 = check_schema(out)["value"]
+        for extra in ([], ["--draws", "1"], ["--seed", "3", "--draws", "0"]):
+            rc, out, err = run_cli(args + ["--method", "charrv"] + extra)
+            assert rc == 0, err
+            report = check_schema(out)
+            assert report["value"] == pytest.approx(d1, rel=1e-14)
+            assert report["stderr"] == 0.0
+            assert report["seed"] == (3 if extra[:1] == ["--seed"] else None)
 
     def test_charfn_beta_two_is_domain_error(self, sample_csv):
         rc, _, err = run_cli(["dcov", "--input", sample_csv,
@@ -190,7 +208,8 @@ def _scaled_csv(tmp_path_factory, sample_csv, scale):
 
 @pytest.fixture(scope="module")
 def huge_csv(tmp_path_factory, sample_csv):
-    """The sample_csv data times 1e160: its squared distances overflow."""
+    """The sample_csv data times 1e160: its squared distances overflow,
+    its distances do not."""
     return _scaled_csv(tmp_path_factory, sample_csv, 1e160)
 
 
@@ -208,13 +227,21 @@ def bigger_csv(tmp_path_factory, sample_csv):
 
 class TestNonFiniteResults:
     @pytest.mark.parametrize("method, extra, entries", [
-        ("d1", [], "inf, inf"), ("centered", [], "inf, inf"),
+        # the 1-D kernels |gap| are finite, about 1e160, and their
+        # products overflow; the typical entries shown are their means
+        ("d1", [], "9.65e+159, 1.12e+160"),
+        # the root mean squares of the centered entries overflow
+        ("centered", [], "inf, inf"),
         # the default level M is refused there: the squared distances
         # it is set from are inf
         ("hm", [], "inf, inf"),
-        ("charrv", ["--seed", "1", "--draws", "4"], "inf, inf")])
+        ("charrv", ["--seed", "1", "--draws", "4"], "9.65e+159, 1.12e+160")])
     def test_dcov_kernel_overflow_is_exit_3(self, huge_csv, method, extra,
                                             entries):
+        if entries != "inf, inf":
+            _, data = load_csv(huge_csv)
+            assert entries == "%.3g, %.3g" % tuple(
+                np.mean(np.abs(np.subtract.outer(c, c))) for c in data.T)
         rc, out, err = run_cli(["dcov", "--input", huge_csv, "--x-cols",
                                 "x1", "--y-cols", "y1", "--beta", "1",
                                 "--method", method] + extra)
@@ -624,6 +651,44 @@ def strip_wall_time(raw):
 
 
 class TestDeterminism:
+    def test_one_dimensional_beta_one_reports_keep_their_bytes(
+            self, sample_csv, tmp_path, monkeypatch, capsys):
+        # 1-D kernels are |gap| now, the square root of the squared
+        # distance before: the same bits, so the same report bytes
+        _, data = load_csv(sample_csv)
+        probs = np.random.default_rng(3).uniform(0.5, 1.5, len(data))
+        joint = tmp_path / "joint.csv"
+        joint.write_text("x1,y1,prob\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % (a, b, p)
+            for (a, b), p in zip(data, probs / probs.sum())))
+        cols = ["--x-cols", "x1", "--y-cols", "y1", "--beta", "1"]
+        weighted = ["--input", str(joint)] + cols + ["--prob-col", "prob"]
+        runs = [["dcov", "--input", sample_csv] + cols + ["--method", "d1"],
+                ["dcov"] + weighted + ["--method", "exact"],
+                ["converge"] + weighted + ["--n-schedule", "10,100,1000",
+                                           "--seeds", "1,2", "--format",
+                                           "json"],
+                ["test", "--input", sample_csv] + cols + ["-B", "19",
+                                                          "--seed", "4"]]
+
+        def reports():
+            outs = []
+            for argv in runs:
+                assert main(argv) == 0
+                outs.append(strip_wall_time(capsys.readouterr().out))
+            return outs
+
+        new = reports()
+        calls = []
+
+        def squared_root(p, beta, lo, hi):
+            calls.append(beta)
+            return squared_distance_rows(p[:, None], lo, hi) ** (0.5 * beta)
+
+        monkeypatch.setattr(metric, "gap_rows", squared_root)
+        assert reports() == new
+        assert set(calls) == {1.0}
+
     def test_threads_do_not_change_bytes(self, sample_csv):
         outs = []
         for threads in ("1", "8"):

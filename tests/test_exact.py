@@ -10,7 +10,7 @@ from betadcov import (DiscreteJoint, consistency_sweep, dcov_exact, euclidean,
                       exact, hhat_eval, pairwise_distances, projection_demo,
                       table, ttilde_eval)
 from betadcov.exact import _centered_products, _d1_rows
-from betadcov.metric import row_blocks
+from betadcov.metric import gap_rows, row_blocks
 from conftest import random_joint, random_table_joint
 
 SP1 = euclidean(1, 1.0)
@@ -287,13 +287,13 @@ def _vector_centered(rows, w):
     return sums
 
 
-def _with_zeros(joint, seed, columns):
+def _with_zeros(k, seed, columns):
     """k x columns weights over three decades, about a third of them
     zero, each column summing to 1."""
     r = np.random.default_rng(seed)
-    w = r.uniform(1e-3, 1.0, size=(joint.n, columns))
+    w = r.uniform(1e-3, 1.0, size=(k, columns))
     w[r.uniform(size=w.shape) < 0.3] = 0.0
-    w[r.integers(0, joint.n), :] += 1.0
+    w[r.integers(0, k), :] += 1.0
     return w / w.sum(axis=0)
 
 
@@ -301,7 +301,7 @@ def _with_zeros(joint, seed, columns):
 def test_property_single_weight_vector_keeps_its_bits(joint, seed):
     # every route but the consistency sweep's replicates passes one
     # weight vector; its values are those of the single-vector code
-    for w in (joint.probs, _with_zeros(joint, seed, 1)[:, 0].copy()):
+    for w in (joint.probs, _with_zeros(joint.n, seed, 1)[:, 0].copy()):
         value = _d1_rows(joint.rows, w)
         assert type(value) is float
         assert value == _vector_d1(joint.rows, w)
@@ -317,13 +317,43 @@ def test_property_weight_columns_match_single_vectors(joint, columns, seed):
     # within 1e-12 of the d1 term scale of the single-vector call
     a = pairwise_distances(joint.x, joint.x_spec)
     b = pairwise_distances(joint.y, joint.y_spec)
-    w = _with_zeros(joint, seed, columns)
+    w = _with_zeros(joint.n, seed, columns)
     d1 = _d1_rows(joint.rows, w)
     assert d1.shape == (columns,)
     for j in range(columns):
         v = w[:, j].copy()
         assert abs(d1[j] - _d1_rows(joint.rows, v)) <= (
             1e-12 * _term_scale(a, b, v))
+
+
+@given(st.integers(1, 9), st.integers(2, 300),
+       st.sampled_from([0.3, 0.5, 1.0, 1.5]), st.integers(1, 3),
+       st.sampled_from([None, 1, 7]), st.integers(0, 2 ** 32 - 1))
+def test_property_kernel_stacks_match_single_pairs(draws, k, beta, columns,
+                                                   rows, seed):
+    # D stacked pairs of 1-D kernels |gap|^beta, as the charrv draws
+    # give them, under one weight vector or weight columns, about a
+    # third of the weights zero: each of the D values is within 1e-12
+    # of its d1 term scale of the single-pair call. The row blocks are
+    # the default ones or hold 1 or 7 rows per stacked kernel, so they
+    # may split the kernels unevenly
+    r = np.random.default_rng(seed)
+    p, q = r.normal(size=(2, draws, k)) * r.uniform(0.1, 10.0, (2, 1, 1))
+    w = _with_zeros(k, seed, columns)
+    w = w[:, 0].copy() if columns == 1 else w
+    blocks = row_blocks(k, rows and rows * draws * k)
+    stacked = _d1_rows(lambda lo, hi: (gap_rows(p, beta, lo, hi),
+                                       gap_rows(q, beta, lo, hi)), w, blocks)
+    assert stacked.shape == (draws,) + w.shape[1:]
+    spec = euclidean(1, beta)
+    for i in range(draws):
+        a = pairwise_distances(p[i], spec)
+        b = pairwise_distances(q[i], spec)
+        for j in range(columns):
+            v = w if columns == 1 else w[:, j].copy()
+            got = stacked[i, j] if columns > 1 else stacked[i]
+            one = _d1_rows(lambda lo, hi: (a[lo:hi], b[lo:hi]), v)
+            assert abs(got - one) <= 1e-12 * _term_scale(a, b, v)
 
 
 def test_exact_d1_holds_no_k_by_k_matrix():

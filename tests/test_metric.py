@@ -3,7 +3,8 @@ import pytest
 
 from betadcov import (euclidean, pairwise_distances, table,
                       validate_table_metric)
-from betadcov.metric import MetricSpec, as_points
+from betadcov.metric import (MetricSpec, as_points, gap_rows,
+                             squared_distance_rows)
 
 
 def test_two_points_beta_one():
@@ -89,3 +90,60 @@ def test_bad_points_rejected():
         as_points([0, 2], t)
     with pytest.raises(ValueError):
         as_points([0.5], t)
+
+
+def _wide_points(n=1000):
+    """n scalars of either sign over 1e-100 to 1e100: 10^6 gaps."""
+    r = np.random.default_rng(11)
+    return r.choice([-1.0, 1.0], n) * 10.0 ** r.uniform(-100, 100, n)
+
+
+def test_gap_kernel_at_beta_one_is_the_root_of_the_squared_distance():
+    # sqrt(fl(d^2)) = |d| exactly wherever d^2 neither overflows nor
+    # underflows, so 1-D kernels at beta = 1 keep their bits
+    p = _wide_points()
+    np.testing.assert_array_equal(
+        gap_rows(p, 1.0, 0, p.size),
+        np.sqrt(squared_distance_rows(p[:, None], 0, p.size)))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_gap_kernel_root_powers_within_one_ulp_of_pow(beta):
+    # a square root, and a root times its argument, against a general pow
+    p = _wide_points()
+    g = np.abs(np.subtract.outer(p, p))
+    ref = np.power(g, beta)
+    got = gap_rows(p, beta, 0, p.size)
+    assert np.all(np.abs(got - ref) <= np.spacing(ref))
+    assert np.all(np.abs(got - ref) <= 2.0 ** -52 * ref)
+
+
+def test_gap_kernel_stacks_and_row_blocks():
+    # a leading axis stacks the kernels of several point sets; rows lo:hi
+    # of each are the rows of its own kernel, at every beta
+    r = np.random.default_rng(5)
+    p = r.normal(size=(3, 7))
+    for beta in (0.3, 0.5, 1.0, 1.5, 2.0):
+        stack = gap_rows(p, beta, 2, 5)
+        assert stack.shape == (3, 3, 7)
+        for i in range(3):
+            np.testing.assert_array_equal(
+                stack[i], pairwise_distances(p[i], euclidean(1, beta))[2:5])
+            np.testing.assert_allclose(
+                stack[i], np.abs(np.subtract.outer(p[i, 2:5], p[i]))
+                ** beta, rtol=2.0 ** -52, atol=0)
+
+
+def test_one_dimensional_kernel_overflows_only_with_its_power():
+    # gap^2 overflows from about 1.3e154; |gap|^beta only where it leaves
+    # the double range itself
+    d = pairwise_distances([[0.0], [1e200]], euclidean(1, 1.0))
+    assert d[0, 1] == 1e200
+    assert pairwise_distances([[0.0], [1e200]], euclidean(1, 0.5))[0, 1] \
+        == 1e100
+    with np.errstate(over="ignore"):
+        assert np.isinf(pairwise_distances([[0.0], [1e200]],
+                                           euclidean(1, 1.6))[0, 1])
+    # nor are gaps below about 1e-162 flushed to 0
+    assert pairwise_distances([[0.0], [1e-200]], euclidean(1, 1.0))[0, 1] \
+        == 1e-200
