@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from betadcov import (DcovEstimate, DiscreteJoint, DomainError, QuadConfig,
                       QuadratureError, c_const, charfn, dcov_charfn_1d,
                       dcov_exact, euclidean, exact, scale_const)
-from betadcov.charfn import MAX_NODES, log_panel_grid, tail_extrapolate
+from betadcov.charfn import MAX_NODES, log_panel_grid
 
 
 def test_constant_one_dim():
@@ -125,17 +125,19 @@ def test_box_kernels_beyond_physical_memory_refused(monkeypatch):
     x = np.linspace(0.0, 1.0, k)
     sp = euclidean(1, 1.0)
     joint = DiscreteJoint(x, x ** 2, np.full(k, 1.0 / k), sp, sp)
-    # two stacks of five 0.72 MB kernels, one axis's gap table, an 8 MB
-    # phase block and two 2176-node grids, on a machine 1 byte short
-    need = 8 * (10 * k * k + 14 * (k * (k - 1) // 2) + (1 << 20)
-                + 8 * (2176 + 2176))
+    # two stacks of five 0.72 MB kernels, one axis's gap table, four
+    # 0.26 MB phase blocks and tables, atom tables 181 nodes wide, two
+    # 2176-node grids and the 2^14-entry row blocks of eleven kernel
+    # pairs, three times over, on a machine 1 byte short
+    need = 8 * (10 * k * k + 14 * (k * (k - 1) // 2) + 4 * (1 << 15)
+                + 2 * 181 * k + 8 * (2176 + 2176) + 3 * 11 * (1 << 14))
     monkeypatch.setattr(exact, "_physical_memory", lambda: need - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=(
                 r"^charfn quadrature at k=300 atoms needs about %d "
                 r"bytes \(0.0 GB\) for two stacks of five k x k box "
-                r"kernels, a gap table and a phase block, more than the "
+                r"kernels, a gap table and phase blocks, more than the "
                 r"0.0 GB of physical memory$" % need)):
             dcov_charfn_1d(joint)
         _, peak = tracemalloc.get_traced_memory()
@@ -231,6 +233,26 @@ def test_unreliable_tail_raises():
         dcov_charfn_1d(joint)
 
 
+def test_unreliable_tail_of_near_independent_joint_raises():
+    # x = X + d Z and y = Y + d Z with X, Y independent on {0, 30} and
+    # {0, 21}: all the dependence sits at |t|, |u| near 1/d, past T/2.
+    # The full box cancels to 0 in double precision, and the tail, 5e-13
+    # in the units of the kernels, matches its extended-precision value to
+    # 1e-5 and is above half the full box there too. The contraction's
+    # rounding bound of the full kernels, 2.7e-12, would let it through;
+    # that of the outer-band kernels, which the tail is taken from, is
+    # 1.4e-16.
+    d = 5e-5
+    x, y, p = np.array([(x1 + d * z, y1 + d * z, px * py * 0.5)
+                        for x1, px in ((0.0, 0.5), (30.0, 0.5))
+                        for y1, py in ((0.0, 0.4), (21.0, 0.6))
+                        for z in (0.0, 1.0)]).T
+    sp = euclidean(1, 1.0)
+    joint = DiscreteJoint(x[:, None], y[:, None], p, sp, sp)
+    with pytest.raises(QuadratureError, match="extrapolation unreliable"):
+        dcov_charfn_1d(joint)
+
+
 # ------------------------------------------------ separable box kernels
 
 def _masked_sums(t, wt, g_cols, tmax):
@@ -302,7 +324,13 @@ def _ref_charfn_1d(joint, q=None, chunk=256):
     full, ht, th, hh, tenth, origin_u = _masked_sums(t, wt, g_cols, q.tmax)
     m_t_origin = t < 10.0 * q.eps
     origin_t = float(wt[m_t_origin] @ g_cols[m_t_origin, 0])
-    corrected, tail = tail_extrapolate(full, ht, th, hh, beta)
+    # one-step Richardson correction for the outer cutoffs
+    f = 1.0 / (2.0 ** beta - 1.0)
+    tail_t = (full - ht) * f
+    tail_u = (full - th) * f
+    cross = (full - ht - th + hh) * f * f
+    corrected = full + tail_t + tail_u + cross
+    tail = tail_t + tail_u + cross
 
     # near the origin the integrand scales like t^(1-beta) u^(1-beta), so
     # the band [eps, 2*eps) pins down the mass below eps in each variable
@@ -332,9 +360,35 @@ def _ref_charfn_1d(joint, q=None, chunk=256):
                         n=joint.n, aux=aux)
 
 
-def _longdouble_origin(joint, q=QuadConfig()):
-    """origin_err and origin_correction of the same discretisation, with
-    the origin-band box integrals summed in extended precision."""
+def _longdouble_kernels(nodes, w, atoms, q):
+    """The five box kernels of charfn._box_kernels (all nodes, (T/2, T],
+    (T/10, T], below 10 eps and below 2 eps), each gap's own sine taken
+    in extended precision."""
+    ld = np.longdouble
+    wm = np.asarray(w, dtype=ld)[:, None] * np.column_stack([
+        nodes > 0, nodes > q.tmax / 2.0, nodes > q.tmax / 10.0,
+        nodes < 10.0 * q.eps, nodes < 2.0 * q.eps])
+    x = atoms.astype(ld)
+    k = atoms.size
+    iu, ju = np.triu_indices(k, 1)
+    gaps = np.abs(x[iu] - x[ju])
+    vals = np.empty((gaps.size, 5), dtype=ld)
+    for lo in range(0, gaps.size, 64):
+        s = np.sin(np.multiply.outer(gaps[lo:lo + 64], nodes.astype(ld)) / 2)
+        vals[lo:lo + 64] = 2 * (s * s) @ wm
+    kern = np.zeros((5, k, k), dtype=ld)
+    kern[:, iu, ju] = kern[:, ju, iu] = vals.T
+    return kern
+
+
+def _longdouble_fields(joint, q=QuadConfig()):
+    """value and aux error fields of the same discretisation, summed in
+    extended precision.
+
+    The masses beyond T/2 and T/10 are contracted from the outer-band
+    kernels: differencing the boxes up to T/2 and T/10 would keep only
+    about 13 digits of the tail at beta = 1.5, even in extended precision.
+    """
     ld = np.longdouble
     beta = joint.x_spec.beta
     p = joint.probs.astype(ld)
@@ -342,10 +396,7 @@ def _longdouble_origin(joint, q=QuadConfig()):
     def kernels(atoms):
         nodes, w = log_panel_grid(q, freq=float(atoms.max() - atoms.min()))
         w = w.astype(ld) * nodes.astype(ld) ** ld(-1.0 - beta)
-        gap = np.abs(atoms[:, None] - atoms[None, :]).astype(ld)
-        s = 2 * np.sin(np.multiply.outer(gap, nodes.astype(ld)) / 2) ** 2
-        return [s @ (w * m) for m in (nodes > 0, nodes < 10.0 * q.eps,
-                                      nodes < 2.0 * q.eps)]
+        return _longdouble_kernels(nodes, w, atoms, q)
 
     def box(a, b):
         aw = a @ p
@@ -353,13 +404,19 @@ def _longdouble_origin(joint, q=QuadConfig()):
         return 4 * (np.sum(p[:, None] * p[None, :] * (a * b))
                     + (p @ aw) * (p @ bw) - 2 * np.sum(p * (aw * bw)))
 
-    (ax, ax_o, ax_b), (by, by_o, by_b) = (kernels(joint.x[:, 0]),
-                                          kernels(joint.y[:, 0]))
-    c2 = ld(c_const(1, beta)) ** 2
-    origin_err = c2 * (box(ax_o, by) + box(ax, by_o))
-    origin_corr = (c2 * (box(ax_b, by) + box(ax, by_b))
+    (ax, ax2, ax10, ax_o, ax_b), (by, by2, by10, by_o, by_b) = (
+        kernels(joint.x[:, 0]), kernels(joint.y[:, 0]))
+    f = 1 / (ld(2) ** ld(beta) - 1)
+    tail = (box(ax2, by) + box(ax, by2)) * f + box(ax2, by2) * f * f
+    origin_corr = ((box(ax_b, by) + box(ax, by_b))
                    / (ld(2) ** (2 - ld(beta)) - 1))
-    return float(origin_err), float(origin_corr)
+    c2 = ld(c_const(1, beta)) ** 2
+    return {"value": float(c2 * (box(ax, by) + tail + origin_corr)),
+            "trunc_err": float(c2 * abs(box(ax10, by) + box(ax, by10)
+                                        - box(ax10, by10))),
+            "tail_correction": float(c2 * tail),
+            "origin_err": float(c2 * (box(ax_o, by) + box(ax, by_o))),
+            "origin_correction": float(c2 * origin_corr)}
 
 
 def _ref_joint(beta, k):
@@ -401,10 +458,9 @@ class TestSeparableKernels:
             if beta <= 1.0:
                 assert est.aux[key] == pytest.approx(ref.aux[key], rel=1e-10)
         if np.finfo(np.longdouble).eps < 1e-18:
-            ld_err, ld_corr = _longdouble_origin(joint)
-            assert est.aux["origin_err"] == pytest.approx(ld_err, rel=1e-10)
-            assert est.aux["origin_correction"] == pytest.approx(ld_corr,
-                                                                 rel=1e-10)
+            ref = _longdouble_fields(joint)
+            for key in ("origin_err", "origin_correction"):
+                assert est.aux[key] == pytest.approx(ref[key], rel=1e-10)
 
     def test_kernel_memory_is_bounded(self):
         # the grid reference peaks at about 155 MB on this joint
@@ -417,6 +473,89 @@ class TestSeparableKernels:
             tracemalloc.stop()
         assert est.aux["nodes_t"] * est.aux["nodes_u"] > 4e7
         assert peak < 24e6
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("beta, k", [
+        (0.5, 3), (1.5, 3), (0.5, 8), (1.0, 8), (1.5, 8), (1.0, "lattice"),
+        (1.5, "lattice"), (0.5, 32), (1.5, 32)])
+    def test_tail_and_truncation_keep_their_digits(self, beta, k):
+        # both fields are the mass beyond T/2 or T/10; as differences of
+        # nearly equal box values they kept about 10 digits at beta = 1.5
+        joint = _ref_joint(beta, k)
+        est = dcov_charfn_1d(joint)
+        ref = _longdouble_fields(joint)
+        assert est.value == pytest.approx(ref["value"], rel=1e-13, abs=0)
+        for key in ("tail_correction", "trunc_err"):
+            assert est.aux[key] == pytest.approx(ref[key], rel=1e-13, abs=0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+    def test_cluster_with_far_atom_keeps_value_digits(self, beta):
+        # eight atoms 0.01 to 0.02 apart carry all but 1e-9 of the mass,
+        # and one atom sits 100 away, so span / smallest gap is about 1e4.
+        # Per-atom phases round one kernel entry at about eps span / gap
+        # of its size, which leaves about 1e-13 on the value
+        rng = np.random.default_rng(0)
+        xc = np.r_[0.0, 0.01 * np.cumsum(1.0 + rng.random(7))]
+        yc = 0.5 * xc[rng.permutation(8)] + 0.003 * rng.random(8)
+        p = np.r_[(1.0 - 1e-9) * rng.dirichlet(np.ones(8)), 1e-9]
+        sp = euclidean(1, beta)
+        joint = DiscreteJoint(np.r_[xc, 100.0][:, None],
+                              np.r_[yc, -70.0][:, None], p, sp, sp)
+        est = dcov_charfn_1d(joint)
+        assert est.value == pytest.approx(_longdouble_fields(joint)["value"],
+                                          rel=1e-12, abs=0)
+
+    def test_k32_peak_is_a_few_phase_blocks(self):
+        # the gap x node phases of a default grid at k = 32 took one
+        # 8.4 MB block, and the call peaked at 8.8 MB
+        joint = _ref_joint(1.5, 32)
+        dcov_charfn_1d(joint)
+        tracemalloc.start()
+        try:
+            dcov_charfn_1d(joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+
+def _kernel_atoms(case):
+    x = np.random.default_rng(7).normal(size=12)
+    return {"continuous": x, "lattice": 0.25 * np.arange(10.0),
+            "ties": np.repeat(x[:8], [1, 2, 1, 3, 1, 1, 2, 1]),
+            "one atom": x[:1], "offset": x + 1e4}[case]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("case", ["continuous", "lattice", "ties", "one atom",
+                                  "offset"])
+def test_box_kernels_match_extended_precision(monkeypatch, case, block):
+    atoms = _kernel_atoms(case)
+    # per-atom phases when the distinct atoms are fewer than half the
+    # distinct gaps, each gap's own sine otherwise
+    gaps = np.abs(np.subtract.outer(atoms, atoms))[
+        np.triu_indices(atoms.size, 1)]
+    per_atom = 2 * np.unique(atoms).size < np.unique(gaps).size
+    assert per_atom == (case in ("continuous", "ties", "offset"))
+    if block:
+        # 31 nodes by 32 of the 66 gaps (continuous, offset), 34 nodes by
+        # the 29 gaps with ties, 111 nodes by the lattice's 9 gaps: none
+        # of them splits 3856 or 3760 nodes evenly
+        monkeypatch.setattr(charfn, "PHASE_BLOCK", block)
+    q = QuadConfig()
+    nodes, w = log_panel_grid(q, freq=float(atoms.max() - atoms.min()))
+    w = w * nodes ** -2.0
+    kern = charfn._box_kernels(nodes, w, atoms, q)
+    ref = _longdouble_kernels(nodes, w, atoms, q)
+    assert kern.shape == ref.shape == (5, atoms.size, atoms.size)
+    for box, box_ref in zip(kern, ref):
+        assert np.all(np.abs(box - box_ref)
+                      <= 1e-14 * np.abs(box_ref).max())
 
 
 # atoms on a 0.01 lattice in [0, 4]

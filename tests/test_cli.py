@@ -456,8 +456,8 @@ def test_every_method_reads_prob_col(tmp_path, capsys, method):
 
 @pytest.mark.parametrize("argv, message", [
     (["dcov", "--method", "charfn"], "charfn quadrature at k=2 atoms needs "
-     "about 8667568 bytes (0.0 GB) for two stacks of five k x k box "
-     "kernels, a gap table and a phase block")])
+     "about 1334384 bytes (0.0 GB) for two stacks of five k x k box "
+     "kernels, a gap table and phase blocks")])
 def test_joint_beyond_memory_is_one_line(joint_csv, monkeypatch, capsys, argv,
                                          message):
     monkeypatch.setattr(exact, "_physical_memory", lambda: 63)
