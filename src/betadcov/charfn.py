@@ -255,7 +255,7 @@ def dcov_charfn_1d(joint, q=None):
     bt, bu = np.array(_PAIRS).T
     (full, outer2_t, outer2_u, outer2_tu, outer10_t, outer10_u, outer10_tu,
      origin_t, origin_u, band_t, band_u) = (4.0 * _d1_rows(
-         lambda lo, hi: (kx[bt, lo:hi], ky[bu, lo:hi]), p)).tolist()
+         lambda lo, hi: (kx[bt, lo:hi, lo:], ky[bu, lo:hi, lo:]), p)).tolist()
     corrected, tail = tail_extrapolate(full, outer2_t, outer2_u, outer2_tu,
                                        beta)
 

@@ -36,8 +36,8 @@ import numpy as np
 from .exact import DcovEstimate, DiscreteJoint, DomainError, _d1_rows
 from .metric import gap_rows, row_blocks, squared_distance_rows
 
-#: kernel entries (draws x rows x atoms) in one row block of a stack of
-#: draws; it sets both the draws per sweep and their row blocks
+#: kernel entries (draws x rows x columns) in one row block of a stack
+#: of draws; it sets both the draws per sweep and their row blocks
 STACK_ELEMENTS = 1 << 15
 
 

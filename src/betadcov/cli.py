@@ -85,7 +85,8 @@ def _load_input(args):
 
 
 def _max_sq_distance(pts):
-    """Largest squared distance between rows of pts, one row block at a time."""
+    """Largest squared distance between rows of pts, one upper-trapezoid
+    row block at a time."""
     return max(float(squared_distance_rows(pts, lo, hi).max())
                for lo, hi in row_blocks(len(pts)))
 

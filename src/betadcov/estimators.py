@@ -8,12 +8,16 @@ exact population value.
 
 None of them builds an n x n matrix. They sweep row blocks of the two
 beta-powered distance kernels, recomputed from the points for each
-sweep (metric.distance_rows). d1 collects its three pairwise-form sums
-in one sweep (exact._d1_rows). The doubly centered estimator and dcor
-share the two-sweep centering exact._centered_rows, summed by
-exact._centered_products: the first sweep collects the row sums, the
-second centers each block entrywise and sums the products. Memory is
-O(n * block) on top of the points; time is O(n^2 d) per sweep.
+sweep (metric.distance_rows). The kernels are symmetric, so a block of
+rows lo:hi spans columns lo:n only, and each entry off the diagonal
+blocks is built once: a block's row sums are mirrored into the rows
+past it, and its products past the square block count twice. d1
+collects its three pairwise-form sums in one sweep (exact._d1_rows).
+The doubly centered estimator and dcor share the two-sweep centering
+exact._centered_rows, summed by exact._centered_products: the first
+sweep collects the row sums, the second centers each block entrywise
+and sums the products. Memory is O(n * block) on top of the points;
+time is O(n^2 d) per sweep, half that of the full square.
 """
 
 import numpy as np

@@ -12,16 +12,20 @@ machine precision through three independent routes:
 All three agree on finite support; that agreement is the main oracle
 for every estimator in this package.
 
-DiscreteJoint is the package's one weighted-points type: a paired
-sample is the joint with weight 1/n per row (estimators.PairedSample),
-and every route reads the same x, y and probs. It holds no distance
-matrix: d1 and d3 sweep row blocks of its kernels (DiscreteJoint.rows)
-through _d1_rows and _centered_products, the contractions the sample
-estimators and the consistency sweep call on the same points: O(k^2 d)
-time and O(k * block) memory per contraction. _d1_rows also takes a
-k x R matrix of weight columns, which one sweep contracts all at once,
-and kernel rows with leading batch axes, a stack of kernel pairs under
-the same weights (the charrv draws). Only d2 builds the matrices.
+DiscreteJoint is the package's one weighted-points type: a paired sample
+is the joint with weight 1/n per row (estimators.PairedSample), and every
+route reads the same x, y and probs. It holds no distance matrix: d1 and
+d3 sweep row blocks of its kernels (DiscreteJoint.rows) through _d1_rows
+and _centered_products, the contractions the sample estimators and the
+consistency sweep call on the same points: O(k^2 d) time and O(k * block)
+memory per contraction. Every kernel is symmetric, so a row block lo:hi
+spans columns lo:k only (the upper trapezoid, metric.row_blocks): each
+block adds its row sums to rows lo:hi and, mirrored, to the rows past it,
+and its products count once on the square block and twice past it.
+_d1_rows also takes a k x R matrix of weight columns, which one sweep
+contracts all at once, and kernel rows with leading batch axes, a stack
+of kernel pairs under the same weights (the charrv draws). Only d2 builds
+the matrices.
 """
 
 import os
@@ -116,7 +120,8 @@ class DiscreteJoint:
         self.beta = x_spec.beta
 
     def rows(self, lo, hi):
-        """Rows lo:hi of the x and y distance kernels, freshly computed."""
+        """Rows lo:hi over columns lo: of the x and y distance kernels,
+        freshly computed."""
         return (distance_rows(self.x, self.x_spec, lo, hi),
                 distance_rows(self.y, self.y_spec, lo, hi))
 
@@ -160,11 +165,17 @@ def ttilde_eval(x1, x2, marginal_atoms, marginal_probs, spec):
 def _d1_rows(rows, w, blocks=None):
     """Three-term pairwise-form contraction collected over row blocks.
 
-    rows(lo, hi) returns rows lo:hi of two kernels a, b that are both
-    symmetric or both antisymmetric. Returns sum_ij w_i w_j a_ij b_ij
-    + (w'a w)(w'b w) - 2 sum_i w_i (a w)_i (b w)_i, holding one row
-    block at a time, and raises DomainError if that is not finite.
-    blocks are the (lo, hi) bounds swept, row_blocks(k) by default.
+    rows(lo, hi) returns rows lo:hi over columns lo:k of two symmetric
+    kernels a, b. Returns sum_ij w_i w_j a_ij b_ij + (w'a w)(w'b w)
+    - 2 sum_i w_i (a w)_i (b w)_i, holding one row block at a time, and
+    raises DomainError if that is not finite. blocks are the (lo, hi)
+    bounds swept, consecutive from 0 to k, row_blocks(k) by default.
+    Each block adds its row sums to (a w)[lo:hi], and those of its
+    columns past the block, w[lo:hi] @ a[:, hi - lo:], to (a w)[hi:];
+    its products are contracted with w on the square block and 2 w past
+    it, where they also stand for the mirrored block below the diagonal.
+    A block that holds every column, as the one block of k <= 128 atoms
+    does, is the whole square.
 
     w is a weight vector, or a k x R matrix whose columns are R weight
     vectors; then one sweep of the rows gives all R values, as an array,
@@ -172,24 +183,36 @@ def _d1_rows(rows, w, blocks=None):
     memory. A weight vector keeps the bits of its matrix-vector
     products; a column of a matrix sums in another order.
 
-    The kernel rows may carry leading batch axes: a (D, hi - lo, k)
+    The kernel rows may carry leading batch axes: a (D, hi - lo, k - lo)
     pair of stacks is D kernel pairs under the same weights, contracted
     by stacked products in the same sweep, and the value gains those
     axes in front (D values for a weight vector, D x R for columns).
     """
     cols = w.reshape(w.shape[0], -1)        # a vector becomes one column
+    k = len(cols)
+    twice = 2.0 * cols
     aw = None
-    for lo, hi in row_blocks(len(cols)) if blocks is None else blocks:
+    for lo, hi in row_blocks(k) if blocks is None else blocks:
         a, b = rows(lo, hi)
         if aw is None:
             # the kernels' batch axes, () for one pair
             shape = a.shape[:-2] + cols.shape
-            aw = np.empty(shape, order="F")
-            bw = np.empty(shape, order="F")
+            aw = np.zeros(shape, order="F")
+            bw = np.zeros(shape, order="F")
             term1 = np.zeros(shape[:-2] + shape[-1:])
-        aw[..., lo:hi, :] = a @ cols
-        bw[..., lo:hi, :] = b @ cols
-        term1 += np.vecdot(cols[lo:hi], (a * b) @ cols, axis=-2)
+        v = cols[lo:]
+        for sums, m in ((aw, a), (bw, b)):
+            sums[..., lo:hi, :] += m @ v
+            if hi < k:
+                # w[lo:hi] @ m[:, hi - lo:] as R rows, which run along
+                # the columns of the column-major sums once transposed
+                past = cols[lo:hi].T @ m[..., hi - lo:]
+                sums[..., hi:, :] += np.swapaxes(past, -1, -2)
+        if hi < k:
+            # rows lo:hi are not read again, so 2 w becomes w there
+            twice[lo:hi] = cols[lo:hi]
+            v = twice[lo:]
+        term1 += np.vecdot(cols[lo:hi], (a * b) @ v, axis=-2)
     mean_a = np.vecdot(cols, aw, axis=-2)
     mean_b = np.vecdot(cols, bw, axis=-2)
     term3 = np.sum(cols * (aw * bw), axis=-2)
@@ -200,26 +223,37 @@ def _d1_rows(rows, w, blocks=None):
     return float(value) if value.ndim == 0 else value
 
 
-def _centered_rows(rows, w):
+def _centered_rows(rows, w, blocks=None):
     """Doubly centered row blocks of symmetric kernels under weights w.
 
-    rows(lo, hi) returns a tuple of rows lo:hi of symmetric kernels, as
-    arrays that may be overwritten. The first sweep collects the row
-    sums (k w)_i of each kernel, and raises DomainError if they are not
-    finite; the second centers each block in place to
-    k_ij - (k w)_i - (k w)_j + w'k w and yields (lo, hi, blocks).
+    rows(lo, hi) returns a tuple of rows lo:hi over columns lo: of
+    symmetric kernels, as arrays that may be overwritten. The first
+    sweep collects the row sums (k w)_i of each kernel, as _d1_rows
+    does, and raises DomainError if they are not finite; the second
+    centers each block in place to k_ij - (k w)_i - (k w)_j + w'k w and
+    yields (lo, hi, blocks). blocks are the (lo, hi) bounds swept, as
+    in _d1_rows.
     """
-    blocks = row_blocks(w.size)
-    per_block = [[k @ w for k in rows(lo, hi)] for lo, hi in blocks]
-    kw = [np.concatenate(parts) for parts in zip(*per_block)]
+    k = w.size
+    if blocks is None:
+        blocks = row_blocks(k)
+    kw = None
+    for lo, hi in blocks:
+        ks = rows(lo, hi)
+        if kw is None:
+            kw = [np.zeros(k) for _ in ks]
+        for r, m in zip(kw, ks):
+            r[lo:hi] += m @ w[lo:]
+            if hi < k:
+                r[hi:] += w[lo:hi] @ m[:, hi - lo:]
     means = [float(w @ r) for r in kw]
     _require_finite(kw, means)
     col = [r - m for r, m in zip(kw, means)]    # (k w)_j - w'k w
     for lo, hi in blocks:
         ks = rows(lo, hi)
-        for k, r, c in zip(ks, kw, col):
-            k -= r[lo:hi, None]
-            k -= c
+        for m, r, c in zip(ks, kw, col):
+            m -= r[lo:hi, None]
+            m -= c[lo:]
         yield lo, hi, ks
 
 
@@ -229,8 +263,13 @@ def _centered_products(rows, w):
     Raises DomainError if any of the three is not finite.
     """
     sums = np.zeros(3)
+    twice = 2.0 * w
     for lo, hi, (a, b) in _centered_rows(rows, w):
-        sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
+        v = w[lo:]
+        if hi < w.size:
+            twice[lo:hi] = w[lo:hi]     # w on the square block, 2 w past it
+            v = twice[lo:]
+        sums += [w[lo:hi] @ (c @ v) for c in (a * b, a * a, b * b)]
     _require_finite(sums, np.sqrt(sums[1:]))
     return sums
 

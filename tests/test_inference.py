@@ -7,8 +7,9 @@ import pytest
 
 from betadcov import (DiscreteJoint, MomentFlags, PairedSample,
                       consistency_sweep, dcor, dcov_centered, dcov_exact,
-                      euclidean, exact, inference, pairwise_distances,
-                      perm_test, regime_classify, tail_diagnostic)
+                      euclidean, exact, inference, metric,
+                      pairwise_distances, perm_test, regime_classify,
+                      tail_diagnostic)
 from betadcov.inference import (FINITE, PLUS_INF, TTILDE_UNDEFINED, UNDEFINED,
                                 UNKNOWN)
 from conftest import random_joint
@@ -270,6 +271,129 @@ class TestPermTestAgainstDense:
             res = perm_test(PairedSample(x[:, None], y[:, None], sp, sp),
                             B=99, seed=run)
             assert res.p_value == _exact_lattice_p_value(x, y, 99, run)
+
+
+def _full_row_blocks(n):
+    """Row blocks over all n columns, as perm_test swept them before its
+    blocks became upper trapezoids."""
+    rows = max(1, metric.BLOCK_ELEMENTS // max(n, 1))
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def _full_distance_rows(pts, spec, lo, hi):
+    """Rows lo:hi over all columns of the kernel of 1-D or Euclidean pts,
+    with the powers perm_test took before (a general power of d^2 in more
+    than one dimension)."""
+    if spec.dim == 1:
+        g = np.abs(np.subtract.outer(pts[lo:hi, 0], pts[:, 0]))
+        if spec.beta == 0.5:
+            return np.sqrt(g)
+        if spec.beta == 1.5:
+            return g * np.sqrt(g)
+        return g if spec.beta == 1 else g ** spec.beta
+    sq = np.zeros((hi - lo, len(pts)))
+    for col in pts.T:
+        sq += np.subtract.outer(col[lo:hi], col) ** 2
+    return sq ** (0.5 * spec.beta)
+
+
+def _full_centered_rows(rows, w):
+    """Doubly centered full row blocks, verbatim from the centering that
+    perm_test used before its blocks became upper trapezoids."""
+    blocks = _full_row_blocks(w.size)
+    per_block = [[k @ w for k in rows(lo, hi)] for lo, hi in blocks]
+    kw = [np.concatenate(parts) for parts in zip(*per_block)]
+    means = [float(w @ r) for r in kw]
+    col = [r - m for r, m in zip(kw, means)]
+    for lo, hi in blocks:
+        ks = rows(lo, hi)
+        for k, r, c in zip(ks, kw, col):
+            k -= r[lo:hi, None]
+            k -= c
+        yield lo, hi, ks
+
+
+def _full_row_perm_test(sample, B, seed):
+    """perm_test as it was over full row blocks, verbatim from its y
+    kernel on; returns (observed, p_value)."""
+    w = sample.probs
+    n = sample.n
+    cb = np.empty((n, n))
+    for lo, hi in _full_row_blocks(n):
+        cb[lo:hi] = _full_distance_rows(sample.y, sample.y_spec, lo, hi)
+    for _ in _full_centered_rows(lambda lo, hi: (cb[lo:hi],), w):
+        pass                                # centers cb in place
+    rng = np.random.default_rng(seed)
+    perms = np.empty((B, n), dtype=np.intp)
+    for perm in perms:
+        perm[:] = rng.permutation(n)
+    rows = _full_row_blocks(n)[0][1]        # rows in the largest block
+    picked = np.empty((rows, n))
+    buf = np.empty((rows, n))
+    observed = ssa = ssb = 0.0
+    stats = np.zeros(B)
+    ww = 1.0 / (n * n)                      # the weight w_i w_j of an entry
+
+    def x_rows(lo, hi):
+        return (_full_distance_rows(sample.x, sample.x_spec, lo, hi),)
+
+    for lo, hi, (ca,) in _full_centered_rows(x_rows, w):
+        wa = ca * ww                        # no unweighted sum to overflow
+        cbb = cb[lo:hi]
+        observed += np.vdot(wa, cbb)
+        ssa += np.vdot(wa, ca)
+        ssb += np.vdot(cbb * ww, cbb)
+        rp, bp = picked[:hi - lo], buf[:hi - lo]
+        for b, perm in enumerate(perms):
+            # mode="clip" lets take write into out without a temporary
+            np.take(cb, perm[lo:hi], axis=0, out=rp, mode="clip")
+            np.take(rp, perm, axis=1, out=bp, mode="clip")
+            stats[b] += np.vdot(wa, bp)
+    # square roots before the product, which would overflow (or
+    # underflow) at data scales where each factor is still finite
+    tol = 1e-12 * np.sqrt(ssa) * np.sqrt(ssb)
+    exceed = int(np.count_nonzero(stats >= observed - tol))
+    return float(observed), (1 + exceed) / (B + 1)
+
+
+class TestPermTestAgainstFullRows:
+    """The upper-trapezoid permutation test against the one it replaced,
+    which swept full rows: equal p-values, and observed statistics within
+    1e-15 relative."""
+
+    @staticmethod
+    def _check(x, y, beta, B=199, seed=3):
+        sx, sy = euclidean(x.shape[1], beta), euclidean(y.shape[1], beta)
+        sample = PairedSample(x, y, sx, sy)
+        res = perm_test(sample, B=B, seed=seed)
+        observed, p = _full_row_perm_test(sample, B, seed)
+        assert res.p_value == p
+        assert res.observed == pytest.approx(observed, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n", [4, 17, 700])
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_continuous(self, n, dependent):
+        rng = np.random.default_rng([n, dependent, 31])
+        x = rng.normal(size=(n, 3))
+        y = rng.normal(size=(n, 2)) + (x[:, :2] if dependent else 0.0)
+        self._check(x, y, 1.0 if dependent else 0.5)
+
+    @pytest.mark.parametrize("n", [4, 17, 700])
+    def test_lattice(self, n):
+        # 0/1 data, where many permuted statistics tie the observed one
+        rng = np.random.default_rng([n, 32])
+        x = rng.integers(0, 2, size=(n, 1)).astype(float)
+        y = np.where(rng.random((n, 1)) < 0.3, 1.0 - x, x)
+        self._check(x, y, 0.5)
+
+    def test_small_blocks(self, monkeypatch):
+        # the y kernel centered in thirteen upper-trapezoid blocks of 2
+        # to 12 rows, the x kernel swept in blocks of 3 rows over columns
+        # lo:, against full-row blocks of 3 rows
+        monkeypatch.setattr(metric, "BLOCK_ELEMENTS", 3 * 60)
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(60, 2))
+        self._check(x, x[:, :1] ** 2 + rng.normal(size=(60, 1)), 1.5)
 
 
 class TestConsistencySweep:

@@ -120,18 +120,55 @@ def test_gap_kernel_root_powers_within_one_ulp_of_pow(beta):
 
 def test_gap_kernel_stacks_and_row_blocks():
     # a leading axis stacks the kernels of several point sets; rows lo:hi
-    # of each are the rows of its own kernel, at every beta
+    # over columns lo: of each are those of its own kernel, at every beta
     r = np.random.default_rng(5)
     p = r.normal(size=(3, 7))
     for beta in (0.3, 0.5, 1.0, 1.5, 2.0):
         stack = gap_rows(p, beta, 2, 5)
-        assert stack.shape == (3, 3, 7)
+        assert stack.shape == (3, 3, 5)
         for i in range(3):
             np.testing.assert_array_equal(
-                stack[i], pairwise_distances(p[i], euclidean(1, beta))[2:5])
+                stack[i],
+                pairwise_distances(p[i], euclidean(1, beta))[2:5, 2:])
             np.testing.assert_allclose(
-                stack[i], np.abs(np.subtract.outer(p[i, 2:5], p[i]))
+                stack[i], np.abs(np.subtract.outer(p[i, 2:5], p[i, 2:]))
                 ** beta, rtol=2.0 ** -52, atol=0)
+
+
+@pytest.mark.parametrize("spec", [
+    euclidean(1, 0.5), euclidean(1, 1.3), euclidean(3, 0.5),
+    euclidean(3, 1.0), euclidean(2, 1.5), euclidean(2, 0.3),
+    table(np.abs(np.subtract.outer(np.arange(9.0) ** 1.5,
+                                   np.arange(9.0) ** 1.5)), beta=0.7)],
+    ids=["1d-0.5", "1d-1.3", "3d-0.5", "3d-1", "2d-1.5", "2d-0.3", "table"])
+def test_pairwise_distances_are_exactly_symmetric(spec):
+    # 300 points take many upper-trapezoid blocks of 54 to 300 rows; the
+    # blocks are mirrored, so the matrix equals its transpose bit for bit
+    r = np.random.default_rng(7)
+    if spec.kind == "table":
+        pts = r.integers(0, spec.size, 300)
+    else:
+        scales = 10.0 ** r.uniform(-3, 3, (300, 1))
+        pts = r.normal(size=(300, spec.dim)) * scales
+    d = pairwise_distances(pts, spec)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diagonal(d) == 0.0)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 1.5, 1.9])
+def test_multidimensional_kernel_within_two_ulp_of_the_power(beta):
+    # square-root chains at beta = 0.5 and 1.5, one root at 1, a general
+    # power otherwise: every entry within 2 ulp of (d^2) ** (beta / 2)
+    r = np.random.default_rng(3)
+    pts = r.normal(size=(400, 3)) * 10.0 ** r.uniform(-50, 50, 400)[:, None]
+    sq = np.zeros((400, 400))
+    for col in pts.T:
+        sq += np.subtract.outer(col, col) ** 2
+    ref = np.power(sq, beta / 2.0)
+    got = pairwise_distances(pts, euclidean(3, beta))
+    assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
+    if beta == 1.0:
+        np.testing.assert_array_equal(got, np.sqrt(sq))
 
 
 def test_one_dimensional_kernel_overflows_only_with_its_power():

@@ -143,8 +143,9 @@ def _sample(kind, n, dx, dy, seed):
     return x, y
 
 
-# n = 128 is exactly the rows of one block at 2^14 elements, 17 fits in
-# one block, and 1000 is not a multiple of its 16 rows per block
+# n = 128 fills one block, the whole square of 2^14 elements, and 17
+# fits in one; at 1000 the upper-trapezoid blocks start at 16 rows, which
+# do not divide 1000, and widen to a short last block of 89 rows
 _CASES = (
     [("dependent", n, dx, dy, beta)
      for n in (2, 3, 17) for dx, dy in ((1, 1), (2, 3), (3, 2))
@@ -156,10 +157,21 @@ _CASES = (
 
 
 def test_block_rows_of_the_cases():
-    assert metric.BLOCK_ELEMENTS // 128 == 128
-    assert 1000 % (metric.BLOCK_ELEMENTS // 1000) != 0
-    assert metric.row_blocks(4000)[-1] == (3996, 4000)
+    assert metric.BLOCK_ELEMENTS == 128 * 128
+    assert metric.row_blocks(128) == [(0, 128)]
     assert metric.row_blocks(17) == [(0, 17)]
+    for n in (1000, 4000):
+        blocks = metric.row_blocks(n)
+        # consecutive, each as many rows as fit its own width n - lo
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert all(hi - lo == min(n - lo, metric.BLOCK_ELEMENTS // (n - lo))
+                   for lo, hi in blocks)
+    assert 1000 % (metric.BLOCK_ELEMENTS // 1000) != 0
+    assert metric.row_blocks(1000)[0] == (0, 16)
+    assert metric.row_blocks(1000)[-1] == (911, 1000)
+    assert len(metric.row_blocks(4000)) == 533
+    assert metric.row_blocks(4000)[-1] == (3957, 4000)
 
 
 @pytest.mark.parametrize("kind,n,dx,dy,beta", _CASES)
@@ -212,13 +224,15 @@ def test_tiled_matches_dense_table_metric():
 
 
 def test_many_small_blocks(monkeypatch):
-    # 17 rows in blocks of 3 (the last one short) against one dense block
+    # 17 rows in six blocks of 2 to 4 rows (the last one short: 4 of the
+    # 8 rows its width allows) against one dense block
     x, y = _sample("dependent", 17, 2, 2, 5)
     sample = PairedSample(x, y, euclidean(2, 0.5), euclidean(2, 0.5))
     one_block = (dcov_plugin_d1(sample).value, dcov_centered(sample).value,
                  dcor(sample), dcov_hm(sample, 1e3).value)
-    monkeypatch.setattr(metric, "BLOCK_ELEMENTS", 3 * 17)
-    assert metric.row_blocks(17)[-1] == (15, 17)
+    monkeypatch.setattr(metric, "BLOCK_ELEMENTS", 2 * 17)
+    assert metric.row_blocks(17) == [(0, 2), (2, 4), (4, 6), (6, 9),
+                                     (9, 13), (13, 17)]
     small = (dcov_plugin_d1(sample).value, dcov_centered(sample).value,
              dcor(sample), dcov_hm(sample, 1e3).value)
     assert small == pytest.approx(one_block, rel=1e-13)
@@ -246,6 +260,25 @@ def test_d1_memory_is_bounded():
     finally:
         tracemalloc.stop()
     # the dense path held two 288 MB matrices and their product here
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("route", ["centered", "hm"])
+def test_centered_and_hm_memory_is_bounded(route):
+    # under the bound d1 meets: two upper-trapezoid sweeps, or one of
+    # truncated kernels, hold O(n) sums and one row block at a time
+    n = 6000
+    x, y = _sample("dependent", n, 3, 2, 3)
+    sample = PairedSample(x, y, euclidean(3, 0.5), euclidean(2, 0.5))
+    tracemalloc.start()
+    try:
+        if route == "centered":
+            dcov_centered(sample)
+        else:
+            dcov_hm(sample, 1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 16e6
 
 # ----------------------------------------------------------- properties
